@@ -272,8 +272,7 @@ Figure bench_wordcount_steady(double warmup_s, double measure_s) {
   // Metrics storage is pre-sized for the whole run: recording completions
   // is part of the steady state, growing their vectors is not.
   const double horizon = warmup_s + measure_s;
-  storm.cluster().completion().reserve(
-      static_cast<std::size_t>(200.0 * horizon), horizon);
+  storm.cluster().completion().reserve(horizon);
 
   sim.run_until(warmup_s);
   const std::uint64_t events0 = sim.events_executed();

@@ -1,7 +1,9 @@
 // CompletionRecorder: the evaluation's primary metric pipeline. Records the
 // processing time of every root tuple (spout emission -> full ack), failed
 // tuples (30 s timeout), late acks, and drop/replay counts. Mirrors the
-// paper's measurement: 1-minute averages of average processing time.
+// paper's measurement: 1-minute averages of average processing time. Only
+// aggregates are kept (windows, 1-second ticks, a fixed-bin histogram), so
+// memory is bounded by the simulated horizon, not by the tuple count.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +31,11 @@ class CompletionRecorder {
   /// Records a replayed emission.
   void record_replay(sim::Time t);
 
-  /// Pre-sizes the series for an expected completion count over a run of
-  /// `horizon` simulated seconds (zero-alloc steady-state benches).
-  void reserve(std::size_t completions, sim::Time horizon) {
-    proc_time_ms_.reserve(completions, horizon);
+  /// Pre-sizes the series for a run of `horizon` simulated seconds; any
+  /// number of completions inside it then records without allocating
+  /// (zero-alloc steady-state benches).
+  void reserve(sim::Time horizon) {
+    proc_time_ms_.reserve(horizon);
     failures_.reserve(horizon);
     completions_.reserve(horizon);
   }

@@ -32,18 +32,25 @@ void WindowedSeries::add(sim::Time t, double value) {
   ++w.count;
   w.sum += value;
   ++total_count_;
-  points_.emplace_back(t, value);
+  const auto tick = static_cast<std::size_t>(std::max(0.0, t) / kTick);
+  if (ticks_.size() <= tick) ticks_.resize(tick + 1);
+  ++ticks_[tick].count;
+  ticks_[tick].sum += value;
 }
 
 std::optional<double> WindowedSeries::mean_between(sim::Time from,
                                                    sim::Time to) const {
+  // Clamp in floating point first: the bounds may lie far outside the run.
+  const double ticks = static_cast<double>(ticks_.size());
+  const auto lo = static_cast<std::size_t>(
+      std::clamp(std::floor(from / kTick), 0.0, ticks));
+  const auto hi = static_cast<std::size_t>(
+      std::clamp(std::ceil(to / kTick), 0.0, ticks));
   double sum = 0;
   std::uint64_t n = 0;
-  for (const auto& [t, v] : points_) {
-    if (t >= from && t < to) {
-      sum += v;
-      ++n;
-    }
+  for (std::size_t i = lo; i < hi; ++i) {
+    sum += ticks_[i].sum;
+    n += ticks_[i].count;
   }
   if (n == 0) return std::nullopt;
   return sum / static_cast<double>(n);

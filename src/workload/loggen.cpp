@@ -1,5 +1,6 @@
 #include "workload/loggen.h"
 
+#include <algorithm>
 #include <charconv>
 
 namespace tstorm::workload {
@@ -17,17 +18,37 @@ LogGenerator::LogGenerator() : LogGenerator(Options{}) {}
 
 LogGenerator::LogGenerator(Options options)
     : options_(options), rng_(options.seed) {
+  // The draws are spelled out one statement each: their order is part of
+  // the seeded output, and operands of one `+` chain would be evaluated in
+  // an order the compiler chooses. Strings are composed in a stack buffer.
+  char buf[32];
+  const auto put = [](char* p, std::string_view s) {
+    return std::copy(s.begin(), s.end(), p);
+  };
   uris_.reserve(options_.distinct_uris);
   for (std::size_t i = 0; i < options_.distinct_uris; ++i) {
-    uris_.push_back("/ecs/" + rng_.random_string(3) + "/" +
-                    rng_.random_string(6) + ".aspx");
+    const std::string page = rng_.random_string(6);
+    const std::string dir = rng_.random_string(3);
+    char* p = put(buf, "/ecs/");
+    p = put(p, dir);
+    *p++ = '/';
+    p = put(p, page);
+    p = put(p, ".aspx");
+    uris_.emplace_back(buf, p);
   }
   ips_.reserve(options_.distinct_ips);
   for (std::size_t i = 0; i < options_.distinct_ips; ++i) {
-    ips_.push_back(std::to_string(rng_.uniform_int(1, 223)) + "." +
-                   std::to_string(rng_.uniform_int(0, 255)) + "." +
-                   std::to_string(rng_.uniform_int(0, 255)) + "." +
-                   std::to_string(rng_.uniform_int(1, 254)));
+    std::int64_t octets[4];
+    octets[3] = rng_.uniform_int(1, 254);
+    octets[2] = rng_.uniform_int(0, 255);
+    octets[1] = rng_.uniform_int(0, 255);
+    octets[0] = rng_.uniform_int(1, 223);
+    char* p = buf;
+    for (int k = 0; k < 4; ++k) {
+      if (k > 0) *p++ = '.';
+      p = std::to_chars(p, buf + sizeof buf, octets[k]).ptr;
+    }
+    ips_.emplace_back(buf, p);
   }
   // Longest possible line (fixed framing + bounded fields) fits well under
   // this; pre-sizing keeps next_json_line() allocation-free.

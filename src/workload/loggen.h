@@ -42,6 +42,10 @@ class LogGenerator {
   /// generation never allocates); invalidated by the next call.
   std::string_view next_json_line();
 
+  /// The URI and client-IP tables, drawn once at construction.
+  [[nodiscard]] const std::vector<std::string>& uris() const { return uris_; }
+  [[nodiscard]] const std::vector<std::string>& ips() const { return ips_; }
+
  private:
   Options options_;
   sim::Rng rng_;

@@ -1,13 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
-
+#include <cstdlib>
+#include <new>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "metrics/completion.h"
 #include "metrics/ewma.h"
 #include "metrics/reporter.h"
 #include "metrics/timeseries.h"
+#include "sim/rng.h"
+
+// Counts heap allocations in this test binary, for the bounded-storage
+// check below.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+// Out of line, so GCC does not inline free() into call sites where it can
+// see the pointer came from operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tstorm::metrics {
 namespace {
@@ -112,6 +135,64 @@ TEST(WindowedSeries, MeanBetweenHalfOpen) {
   s.add(100.0, 7.0);
   EXPECT_TRUE(s.mean_between(100.0, 100.1).has_value());
   EXPECT_FALSE(s.mean_between(99.0, 100.0).has_value());
+}
+
+TEST(WindowedSeries, MeanBetweenMatchesBruteForceOnWholeSeconds) {
+  // Values are multiples of 1/8 well below 2^53, so every partial sum is
+  // exact and the tick sums must equal a brute-force scan bit for bit.
+  sim::Rng rng(42);
+  WindowedSeries s(60.0);
+  std::vector<std::pair<double, double>> points;
+  for (int i = 0; i < 5000; ++i) {
+    double t = static_cast<double>(rng.uniform_int(0, 299));
+    if (rng.bernoulli(0.8)) t += rng.uniform();  // else exactly on a tick
+    const double v = static_cast<double>(rng.uniform_int(0, 8000)) / 8.0;
+    s.add(t, v);
+    points.emplace_back(t, v);
+  }
+  for (int q = 0; q < 500; ++q) {
+    auto from = static_cast<double>(rng.uniform_int(-5, 310));
+    auto to = static_cast<double>(rng.uniform_int(-5, 310));
+    if (from > to) std::swap(from, to);
+    double sum = 0;
+    std::uint64_t n = 0;
+    for (const auto& [t, v] : points) {
+      if (t >= from && t < to) {
+        sum += v;
+        ++n;
+      }
+    }
+    const auto got = s.mean_between(from, to);
+    ASSERT_EQ(got.has_value(), n > 0) << from << " " << to;
+    if (n > 0) {
+      EXPECT_DOUBLE_EQ(*got, sum / static_cast<double>(n))
+          << from << " " << to;
+    }
+  }
+}
+
+TEST(WindowedSeries, MeanBetweenWidensFractionalBounds) {
+  WindowedSeries s(60.0);
+  s.add(10.2, 1.0);
+  s.add(11.5, 3.0);
+  s.add(12.0, 5.0);
+  // [10.9, 11.6) widens to [10, 12): the 10.2 observation counts, the one
+  // at 12.0 does not.
+  EXPECT_DOUBLE_EQ(s.mean_between(10.9, 11.6).value(), 2.0);
+  EXPECT_DOUBLE_EQ(s.mean_between(11.0, 12.0).value(), 3.0);
+  EXPECT_DOUBLE_EQ(s.mean_between(11.0, 12.5).value(), 4.0);
+}
+
+TEST(WindowedSeries, ReservedStorageIsBoundedByHorizon) {
+  constexpr double kHorizon = 1000.0;
+  constexpr int kAdds = 1'000'000;
+  WindowedSeries s(60.0);
+  s.reserve(kHorizon);
+  const auto before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i <= kAdds; ++i) s.add(kHorizon * i / kAdds, 1.0);
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(s.total_count(), static_cast<std::uint64_t>(kAdds) + 1);
+  EXPECT_DOUBLE_EQ(s.mean_between(0, kHorizon + 1).value(), 1.0);
 }
 
 TEST(WindowedSeries, TotalCount) {

@@ -1,7 +1,11 @@
 // Workload generators, external queue, and the three paper topologies.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/system.h"
 #include "workload/topologies.h"
@@ -78,6 +82,74 @@ TEST(LogGenerator, StatusesFromRealisticSet) {
   for (int i = 0; i < 200; ++i) {
     const auto s = gen.next_record().status;
     EXPECT_TRUE(s == 200 || s == 304 || s == 404 || s == 500);
+  }
+}
+
+// -------------------------------------------------------- Golden digests
+// The generators are the simulated input of every experiment: a change to
+// their draw order silently changes every result downstream. These digests
+// pin the exact output for fixed seeds, so a speed-up of either generator
+// must reproduce it byte for byte.
+
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  h ^= 0xff;  // separator, so {"ab","c"} and {"a","bc"} differ
+  return h * 0x100000001b3ULL;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t digest(const std::vector<std::string>& items) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& s : items) h = fnv1a(h, s);
+  return h;
+}
+
+TEST(TextGenerator, GoldenDigests) {
+  struct Case {
+    std::uint64_t seed;
+    std::uint64_t vocab;
+    std::uint64_t lines;
+  };
+  for (const Case& c :
+       {Case{7, 4249028481579087067ULL, 10384439073562577767ULL},
+        Case{1, 3901971746526058805ULL, 376415836566406205ULL},
+        Case{7919, 11807486479224748602ULL, 10700422708676277541ULL}}) {
+    TextGenerator::Options opt;
+    opt.seed = c.seed;
+    TextGenerator gen(opt);
+    std::uint64_t lines = kFnvBasis;
+    for (int i = 0; i < 1000; ++i) lines = fnv1a(lines, gen.next_line());
+    EXPECT_EQ(digest(gen.vocabulary()), c.vocab) << "seed " << c.seed;
+    EXPECT_EQ(lines, c.lines) << "seed " << c.seed;
+  }
+}
+
+TEST(LogGenerator, GoldenDigests) {
+  struct Case {
+    std::uint64_t seed;
+    std::uint64_t uris;
+    std::uint64_t ips;
+    std::uint64_t lines;
+  };
+  for (const Case& c :
+       {Case{11, 17304154008076912467ULL, 11345530078447033564ULL,
+             6683915152219459588ULL},
+        Case{1, 3755282529106378908ULL, 15924683744684091739ULL,
+             2286822933102548792ULL},
+        Case{7919, 15911918830933613119ULL, 16647292601178419087ULL,
+             6914262977960825734ULL}}) {
+    LogGenerator::Options opt;
+    opt.seed = c.seed;
+    LogGenerator gen(opt);
+    std::uint64_t lines = kFnvBasis;
+    for (int i = 0; i < 1000; ++i) lines = fnv1a(lines, gen.next_json_line());
+    EXPECT_EQ(digest(gen.uris()), c.uris) << "seed " << c.seed;
+    EXPECT_EQ(digest(gen.ips()), c.ips) << "seed " << c.seed;
+    EXPECT_EQ(lines, c.lines) << "seed " << c.seed;
   }
 }
 
