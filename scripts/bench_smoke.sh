@@ -4,7 +4,9 @@
 # allocation-free (--assert-zero-alloc gates both the schedule_run engine
 # figure and the wordcount_steady tuple-path figure at exactly 0 heap
 # allocations per event after warm-up), and appends the JSON result to
-# BENCH_history.jsonl so regressions are visible across commits. Also runs
+# BENCH_history.jsonl so regressions are visible across commits. Fails
+# unless a full-mode recovery_bench run reproduces
+# bench/BENCH_recovery_baseline.json (host time excepted). Also runs
 # the trace_export example as an observability self-check: the Chrome
 # trace must parse as JSON and carry at least one scheduling-decision
 # record.
@@ -45,6 +47,14 @@ echo >> "$repo/BENCH_history.jsonl"
 "$build/bench/recovery_bench" --quick --label "$label" --out "$out"
 tr -d '\n' < "$out" >> "$repo/BENCH_history.jsonl"
 echo >> "$repo/BENCH_history.jsonl"
+
+# Recovery outcome gate: the full-mode run is deterministic, so every
+# results field except wall_s must equal the committed baseline as
+# printed; a change to checkpoint size or restore timing fails here
+# until bench/BENCH_recovery_baseline.json is regenerated on purpose.
+"$build/bench/recovery_bench" --out "$out" >/dev/null
+python3 "$repo/scripts/compare_bench_baseline.py" \
+  "$repo/bench/BENCH_recovery_baseline.json" "$out"
 
 # Resource-aware placement on a heterogeneous fleet: the binary exits
 # nonzero unless rstorm beats round-robin on both inter-node traffic and

@@ -75,10 +75,12 @@ class FlatMap {
     }
   }
 
-  /// Removes every entry for which pred(key, value) is true. A lazy-sweep
-  /// helper: an entry relocated backward across the scan position by an
-  /// erasure may be skipped this pass — callers (expiry sweeps) tolerate
-  /// that, catching it on the next sweep.
+  /// Removes every entry for which pred(key, value) is true, in one pass.
+  /// The pass is exact for a pure predicate: a backward shift only moves
+  /// not-yet-scanned entries into slots at or after the scan position
+  /// (re-examined there), and entries that wrapped around from the front
+  /// were already examined and kept — pred may see them twice, never 0
+  /// times.
   template <typename Pred>
   void erase_if(Pred pred) noexcept {
     for (std::size_t i = 0; i < slots_.size();) {
@@ -88,6 +90,11 @@ class FlatMap {
         ++i;
       }
     }
+  }
+
+  /// Bytes per slot (capacity, not size, is what the table holds).
+  [[nodiscard]] static constexpr std::size_t slot_bytes() noexcept {
+    return sizeof(Slot);
   }
 
   template <typename Fn>
@@ -110,7 +117,8 @@ class FlatMap {
  private:
   struct Slot {
     K key = EmptyKey;
-    V value{};
+    // An empty V (a set's unit value) takes no space: the slot is the key.
+    [[no_unique_address]] V value{};
   };
 
   [[nodiscard]] std::size_t mask() const noexcept {

@@ -1,6 +1,8 @@
 #include "state/state_store.h"
 
 #include <cassert>
+#include <cstddef>
+#include <memory>
 
 namespace tstorm::state {
 
@@ -67,6 +69,10 @@ topo::Value& StateStore::slot_for(const topo::Value& key) {
 
 void StateStore::put(const topo::Value& key, topo::Value value) {
   if (replay_) return;  // suppressed duplicate: the update already applied
+  assign(key, std::move(value));
+}
+
+void StateStore::assign(const topo::Value& key, topo::Value value) {
   topo::Value& v = slot_for(key);
   bytes_ -= topo::value_bytes(v);
   v = std::move(value);
@@ -94,42 +100,87 @@ std::int64_t StateStore::increment(const topo::Value& key, std::int64_t by) {
 }
 
 bool StateStore::dedup_insert(std::uint64_t path, double now) {
+  assert((open_.empty() || now >= open_.back().t) &&
+         "dedup_insert: now must be non-decreasing");
   bool inserted = false;
-  double& t = dedup_.get_or_insert(path, &inserted);
-  t = now;  // refresh on duplicate: the tree is still being replayed
+  index_.get_or_insert(path, &inserted);
+  // Refresh on duplicate: the tree is still being replayed.
+  if (!inserted) refreshed_[path] = now;
+  open_.push_back({path, now});
   return inserted;
 }
 
-void StateStore::sweep_dedup(double horizon) {
-  dedup_.erase_if(
-      [horizon](std::uint64_t /*path*/, double t) { return t < horizon; });
+void StateStore::seal() {
+  if (open_.empty()) return;
+  // An exact-size copy, so open_ keeps its capacity for the next chunk.
+  log_.chunks_.push_back(
+      std::make_shared<const DedupLog::Chunk>(open_.begin(), open_.end()));
+  open_.clear();
 }
 
-Snapshot StateStore::snapshot() const {
+void StateStore::forget(const DedupLog::Record& r) {
+  if (const double* latest = refreshed_.find(r.path)) {
+    if (*latest > r.t) return;  // a later record keeps the path alive
+    refreshed_.erase(r.path);
+  }
+  // A no-op for the second of two same-time records of one path.
+  index_.erase(r.path);
+}
+
+void StateStore::sweep_dedup(double horizon) {
+  seal();
+  auto& chunks = log_.chunks_;
+  std::size_t& front = log_.front_;
+  std::size_t done = 0;  // chunks swept to their end
+  for (; done < chunks.size(); ++done) {
+    const DedupLog::Chunk& c = *chunks[done];
+    while (front < c.size() && c[front].t < horizon) forget(c[front++]);
+    if (front < c.size()) break;
+    front = 0;
+  }
+  chunks.erase(chunks.begin(),
+               chunks.begin() + static_cast<std::ptrdiff_t>(done));
+}
+
+Snapshot StateStore::snapshot() {
+  seal();
   Snapshot snap;
   snap.entries.reserve(size_);
   for_each([&snap](const topo::Value& k, const topo::Value& v) {
     snap.entries.emplace_back(k, v);
   });
-  snap.dedup.reserve(dedup_.size());
-  dedup_.for_each([&snap](std::uint64_t path, double t) {
-    snap.dedup.emplace_back(path, t);
-  });
+  snap.dedup = log_;
+  snap.dedup.live_ = index_.size();
   snap.bytes = bytes_ + kDedupEntryBytes * snap.dedup.size() + 32;
   return snap;
 }
 
 void StateStore::restore(const Snapshot& snap) {
   clear();
-  for (const auto& [k, v] : snap.entries) put(k, v);
-  for (const auto& [path, t] : snap.dedup) dedup_[path] = t;
+  for (const auto& [k, v] : snap.entries) assign(k, v);
+  log_ = snap.dedup;
+  // Every record past the front is unswept, so its path is live; a path
+  // met again was refreshed, and its last record is its latest.
+  for (std::size_t c = 0; c < log_.chunks_.size(); ++c) {
+    const DedupLog::Chunk& chunk = *log_.chunks_[c];
+    for (std::size_t i = c == 0 ? log_.front_ : 0; i < chunk.size(); ++i) {
+      bool inserted = false;
+      index_.get_or_insert(chunk[i].path, &inserted);
+      if (!inserted) refreshed_[chunk[i].path] = chunk[i].t;
+    }
+  }
+  assert(index_.size() == snap.dedup.size());
 }
 
 void StateStore::clear() {
   slots_.clear();
   size_ = 0;
   bytes_ = 0;
-  dedup_.clear();
+  replay_ = false;
+  log_ = DedupLog{};
+  open_.clear();
+  index_.clear();
+  refreshed_.clear();
 }
 
 }  // namespace tstorm::state

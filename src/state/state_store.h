@@ -9,15 +9,21 @@
 // The store also owns the runtime-facing half of exactly-once state:
 //   * a dedup set of applied update paths (deterministic lineage ids of
 //     tuple-tree branches) that suppresses re-application of replayed
-//     updates, swept by age at checkpoint time;
-//   * value-semantic Snapshots taken at barrier alignment, written to the
-//     simulated durable store, and restored into a fresh executor after
-//     reassignment. State and dedup set snapshot/restore atomically, so
-//     "update applied" and "update remembered as applied" can never be
-//     split by a crash.
+//     updates, swept by age at checkpoint time. It is a time-ordered log
+//     of (path, t) records held as immutable shared chunks, plus an 8 B
+//     per slot path index; a sweep pops expired records off the front;
+//   * Snapshots taken at barrier alignment, written to the simulated
+//     durable store, and restored into a fresh executor after
+//     reassignment. Keyed entries are copied; the dedup log is shared —
+//     a snapshot holds pointers to the sealed chunks, so the live store,
+//     an in-flight write and the durable pending and completed snapshots
+//     keep one copy of the log between them. State and dedup set
+//     snapshot/restore atomically, so "update applied" and "update
+//     remembered as applied" can never be split by a crash.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -53,12 +59,39 @@ namespace tstorm::state {
   return p != 0 ? p : 1;
 }
 
-/// Value-semantic copy of a store: keyed entries + dedup set + serialized
-/// size. Built once per checkpoint (allocation at checkpoint rate, not
-/// tuple rate); shipped through the network model to the durable store.
+/// The dedup half of a snapshot: the store's time-ordered (path, t) log
+/// as shared immutable chunks. Copying one copies chunk pointers only.
+class DedupLog {
+ public:
+  struct Record {
+    std::uint64_t path;
+    double t;
+  };
+  using Chunk = std::vector<Record>;
+
+  /// Distinct live (unswept) paths — what the serialized form carries.
+  [[nodiscard]] std::size_t size() const { return live_; }
+  [[nodiscard]] const std::vector<std::shared_ptr<const Chunk>>& chunks()
+      const {
+    return chunks_;
+  }
+
+ private:
+  friend class StateStore;
+
+  std::vector<std::shared_ptr<const Chunk>> chunks_;
+  /// Records of chunks_.front() before this offset are swept.
+  std::size_t front_ = 0;
+  std::size_t live_ = 0;
+};
+
+/// A store's checkpoint: copied keyed entries + shared dedup log +
+/// serialized size. Built once per checkpoint (allocation at checkpoint
+/// rate, not tuple rate); shipped through the network model to the
+/// durable store.
 struct Snapshot {
   std::vector<std::pair<topo::Value, topo::Value>> entries;
-  std::vector<std::pair<std::uint64_t, double>> dedup;
+  DedupLog dedup;
   /// Approximate serialized size (drives write transmission time).
   std::uint64_t bytes = 0;
 };
@@ -104,16 +137,22 @@ class StateStore {
   /// already applied (a replayed duplicate to suppress). Refreshing keeps
   /// an entry alive as long as attempts of its tree keep arriving, so the
   /// age sweep can never forget a path that might still be replayed.
+  /// `now` must be non-decreasing across calls (simulated time is), so
+  /// the log stays time-ordered.
   bool dedup_insert(std::uint64_t path, double now);
-  /// Drops dedup entries last touched before `horizon`.
+  /// Drops dedup entries last touched before `horizon`: O(records swept).
   void sweep_dedup(double horizon);
-  [[nodiscard]] std::size_t dedup_size() const { return dedup_.size(); }
+  [[nodiscard]] std::size_t dedup_size() const { return index_.size(); }
 
   /// --- Checkpoint / restore. ---
-  [[nodiscard]] Snapshot snapshot() const;
+  /// Copies the keyed entries and shares the dedup log: O(entries +
+  /// chunks), independent of the dedup set's size. Seals the open chunk.
+  [[nodiscard]] Snapshot snapshot();
   /// Replaces the full contents (keyed entries and dedup set) with the
-  /// snapshot's. The pre-restore contents are discarded.
+  /// snapshot's. The pre-restore contents are discarded and replay mode
+  /// is left, like clear().
   void restore(const Snapshot& snap);
+  /// Empties the store and leaves replay mode.
   void clear();
 
  private:
@@ -128,14 +167,30 @@ class StateStore {
   [[nodiscard]] std::size_t probe(const topo::Value& key,
                                   std::uint64_t h) const;
   topo::Value& slot_for(const topo::Value& key);
+  /// put() without the replay check.
+  void assign(const topo::Value& key, topo::Value value);
   void grow();
+  /// Moves the open records into a new immutable chunk of the log.
+  void seal();
+  /// Drops `r.path` from the index if `r` is the path's latest record.
+  void forget(const DedupLog::Record& r);
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
   std::uint64_t bytes_ = 0;
   bool replay_ = false;
-  /// Applied-update paths -> last-touched time. Paths are never 0.
-  sim::FlatMap<std::uint64_t, double, 0> dedup_;
+
+  struct Unit {};
+  /// Sealed dedup records, oldest first (`log_.live_` is filled in on the
+  /// copies snapshot() hands out; here the live count is index_.size()).
+  DedupLog log_;
+  /// Records appended since the last seal; capacity is reused.
+  DedupLog::Chunk open_;
+  /// Live paths (never 0). One record each, unless refreshed.
+  sim::FlatMap<std::uint64_t, Unit, 0> index_;
+  /// path -> time of its latest record, for refreshed paths only (a
+  /// duplicate was inserted). Absent: the path has a single record.
+  sim::FlatMap<std::uint64_t, double, 0> refreshed_;
 };
 
 }  // namespace tstorm::state

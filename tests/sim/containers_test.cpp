@@ -82,18 +82,61 @@ TEST(FlatMap, RandomizedMatchesUnorderedMap) {
   EXPECT_EQ(seen, ref.size());
 }
 
-TEST(FlatMap, EraseIfDrainsToEmptyAcrossSweeps) {
+TEST(FlatMap, EraseIfDrainsToEmptyInOneSweep) {
   FlatMap<std::uint64_t, std::uint64_t, 0> m;
   for (std::uint64_t k = 1; k <= 1000; ++k) m[k] = k * 2;
-  // erase_if is lazy (a backward shift can move an entry across the scan
-  // position); repeated sweeps must still converge to empty.
-  int sweeps = 0;
-  while (!m.empty() && sweeps < 10) {
-    m.erase_if([](std::uint64_t, std::uint64_t) { return true; });
-    ++sweeps;
-  }
+  // erase_if is exact: backward shifts during the pass never carry an
+  // entry past the scan position unexamined.
+  m.erase_if([](std::uint64_t, std::uint64_t) { return true; });
   EXPECT_TRUE(m.empty());
-  EXPECT_LE(sweeps, 2) << "erase_if should converge almost immediately";
+}
+
+TEST(FlatMap, EraseIfMatchesUnorderedMapOnSmallTables) {
+  // Value-based predicates on 16-64-slot tables, where probe chains wrap
+  // past the end constantly: one pass must remove exactly the matching
+  // entries and keep every other one reachable.
+  std::mt19937_64 rng(4242);
+  for (int trial = 0; trial < 20000; ++trial) {
+    FlatMap<std::uint64_t, std::uint64_t, 0> flat;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    // Up to 48 entries: 16, 32 or 64 slots at <= 75% load.
+    const std::uint64_t n = 1 + rng() % 48;
+    while (ref.size() < n) {
+      const std::uint64_t k = 1 + rng() % 1000;
+      const std::uint64_t v = rng() % 8;
+      flat[k] = v;
+      ref[k] = v;
+    }
+    const std::uint64_t mod = 1 + rng() % 4;
+    const std::uint64_t rem = rng() % mod;
+    const auto pred = [mod, rem](std::uint64_t, std::uint64_t v) {
+      return v % mod == rem;
+    };
+    flat.erase_if(pred);
+    std::erase_if(ref,
+                  [&](const auto& kv) { return pred(kv.first, kv.second); });
+    ASSERT_EQ(flat.size(), ref.size()) << "trial " << trial;
+    for (const auto& [k, v] : ref) {
+      const std::uint64_t* f = flat.find(k);
+      ASSERT_NE(f, nullptr) << "trial " << trial << " key " << k;
+      EXPECT_EQ(*f, v);
+    }
+  }
+}
+
+TEST(FlatMap, EmptyValueTakesNoSlotSpace) {
+  struct Unit {};
+  static_assert(FlatMap<std::uint64_t, Unit, 0>::slot_bytes() ==
+                sizeof(std::uint64_t));
+  FlatMap<std::uint64_t, Unit, 0> set;
+  bool inserted = false;
+  set.get_or_insert(9, &inserted);
+  EXPECT_TRUE(inserted);
+  set.get_or_insert(9, &inserted);
+  EXPECT_FALSE(inserted);
+  EXPECT_TRUE(set.contains(9));
+  EXPECT_TRUE(set.erase(9));
+  EXPECT_TRUE(set.empty());
 }
 
 TEST(FlatMap, ClearKeepsCapacityAndWorks) {

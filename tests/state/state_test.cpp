@@ -1,4 +1,5 @@
-// State subsystem tests: StateStore keyed API + exactly-once dedup,
+// State subsystem tests: StateStore keyed API + exactly-once dedup (with
+// a brute-force oracle for the dedup log and its shared snapshot chunks),
 // DurableStore two-phase (torn-snapshot) visibility, CheckpointCoordinator
 // barrier rounds, and cluster-level integration — end-to-end checkpoints,
 // crash mid-checkpoint, restore-on-reschedule, barrier alignment at a
@@ -6,11 +7,18 @@
 // with checkpointing enabled.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <map>
 #include <memory>
+#include <new>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/auditor.h"
 #include "chaos/fault_plan.h"
@@ -26,6 +34,34 @@
 #include "workload/bolts.h"
 #include "workload/external_queue.h"
 #include "workload/topologies.h"
+
+// Counts heap allocations in this test binary, for the snapshot-cost
+// check below.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+// std::stable_sort's temporary buffer allocates through the nothrow form
+// and frees through the sized delete below; both must use malloc/free.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n != 0 ? n : 1);
+}
+// Out of line, so GCC does not inline free() into call sites where it can
+// see the pointer came from operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace tstorm::state {
 namespace {
@@ -75,8 +111,8 @@ TEST(StateStore, ManyKeysSurviveGrowth) {
 TEST(StateStore, DedupSuppressesAndRefreshes) {
   StateStore s;
   EXPECT_TRUE(s.dedup_insert(101, 1.0));
-  EXPECT_FALSE(s.dedup_insert(101, 5.0));  // duplicate, timestamp refreshed
   EXPECT_TRUE(s.dedup_insert(202, 2.0));
+  EXPECT_FALSE(s.dedup_insert(101, 5.0));  // duplicate, timestamp refreshed
   EXPECT_EQ(s.dedup_size(), 2u);
 
   // Sweep at horizon 4.0: path 101 was refreshed to t=5 and survives;
@@ -170,6 +206,166 @@ TEST(StateStore, LineagePathsAreStableAndNonZero) {
   EXPECT_EQ(child_path(p, 0), child_path(p, 0));
   EXPECT_NE(child_path(p, 0), child_path(p, 1));
   EXPECT_NE(child_path(p, 0), 0u);
+}
+
+TEST(StateStore, RestoreInReplayModeRestoresEveryKey) {
+  // restore() writes the keyed slots directly: a store left in replay
+  // mode (where put() is a no-op) must still come back whole, and leaves
+  // replay mode — restore replaces the store's entire state.
+  StateStore src;
+  src.put(topo::Value("a"), topo::Value("alpha"));
+  src.increment(topo::Value("b"), 4);
+  ASSERT_TRUE(src.dedup_insert(5, 1.0));
+  const Snapshot snap = src.snapshot();
+
+  StateStore s;
+  s.set_replay(true);
+  s.restore(snap);
+  EXPECT_FALSE(s.in_replay());
+  EXPECT_EQ(s.size(), 2u);
+  ASSERT_NE(s.get(topo::Value("a")), nullptr);
+  EXPECT_EQ(s.get(topo::Value("a"))->as_string(), "alpha");
+  ASSERT_NE(s.get(topo::Value("b")), nullptr);
+  EXPECT_EQ(s.get(topo::Value("b"))->as_int(), 4);
+  EXPECT_EQ(s.bytes(), src.bytes());
+  EXPECT_FALSE(s.dedup_insert(5, 2.0));
+}
+
+/// Expects `snap` to hold exactly `ref`'s paths: restores it into a probe
+/// store and asks for every path of the domain.
+void expect_snapshot_holds(const Snapshot& snap,
+                           const std::map<std::uint64_t, double>& ref,
+                           std::uint64_t domain, double now) {
+  StateStore probe;
+  probe.restore(snap);
+  ASSERT_EQ(probe.dedup_size(), ref.size());
+  for (std::uint64_t p = 1; p <= domain; ++p) {
+    ASSERT_EQ(probe.dedup_insert(p, now), !ref.contains(p)) << "path " << p;
+  }
+}
+
+TEST(StateStore, DedupLogMatchesBruteForceOracle) {
+  // Inserts (duplicates included) at non-decreasing times, sweeps at
+  // arbitrary horizons, snapshots, and restores of saved snapshots into
+  // fresh stores, against a path -> last-touched-time map.
+  constexpr std::uint64_t kDomain = 400;
+  std::mt19937_64 rng(2024);
+  auto store = std::make_unique<StateStore>();
+  std::map<std::uint64_t, double> ref;
+  std::vector<std::pair<Snapshot, std::map<std::uint64_t, double>>> saved;
+  double now = 0.0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng() % 100;
+    if (op < 80) {
+      now += 0.25 * static_cast<double>(rng() % 3);  // ties included
+      const std::uint64_t path = 1 + rng() % kDomain;
+      ASSERT_EQ(store->dedup_insert(path, now), !ref.contains(path))
+          << "step " << step;
+      ref[path] = now;
+      if (rng() % 16 == 0) store->increment(topo::Value("k"));
+    } else if (op < 92) {
+      const double horizon = now - 0.25 * static_cast<double>(rng() % 200);
+      store->sweep_dedup(horizon);
+      std::erase_if(ref,
+                    [horizon](const auto& e) { return e.second < horizon; });
+    } else if (op < 98) {
+      Snapshot snap = store->snapshot();
+      ASSERT_EQ(snap.dedup.size(), ref.size());
+      ASSERT_EQ(snap.bytes, store->bytes() + 16 * ref.size() + 32);
+      expect_snapshot_holds(snap, ref, kDomain, now);
+      if (saved.size() == 8) saved.erase(saved.begin());
+      saved.emplace_back(std::move(snap), ref);
+    } else if (!saved.empty()) {
+      const auto& [snap, snap_ref] = saved[rng() % saved.size()];
+      store = std::make_unique<StateStore>();
+      store->restore(snap);
+      ref = snap_ref;
+    }
+    ASSERT_EQ(store->dedup_size(), ref.size()) << "step " << step;
+  }
+}
+
+TEST(StateStore, OlderSnapshotOutlivesLaterSweeps) {
+  // Chunks are immutable: sweeping the live store past a snapshot's
+  // records must not change what that snapshot restores to.
+  StateStore s;
+  for (std::uint64_t p = 1; p <= 100; ++p) {
+    ASSERT_TRUE(s.dedup_insert(p, static_cast<double>(p)));
+  }
+  const Snapshot old = s.snapshot();
+  s.sweep_dedup(1000.0);
+  EXPECT_EQ(s.dedup_size(), 0u);
+  for (std::uint64_t p = 101; p <= 150; ++p) {
+    ASSERT_TRUE(s.dedup_insert(p, 1000.0));
+  }
+  s.sweep_dedup(1000.0);  // keeps the t=1000 records, pops nothing more
+
+  EXPECT_EQ(old.dedup.size(), 100u);
+  StateStore r;
+  r.restore(old);
+  EXPECT_EQ(r.dedup_size(), 100u);
+  for (std::uint64_t p = 1; p <= 100; ++p) {
+    EXPECT_FALSE(r.dedup_insert(p, 2000.0)) << p;
+  }
+  EXPECT_TRUE(r.dedup_insert(101, 2000.0));
+}
+
+TEST(StateStore, ConsecutiveSnapshotsShareChunks) {
+  StateStore s;
+  const auto insert_batch = [&s](std::uint64_t first, double t) {
+    for (std::uint64_t p = first; p < first + 50; ++p) s.dedup_insert(p, t);
+  };
+  insert_batch(1, 1.0);
+  const Snapshot snap1 = s.snapshot();
+  insert_batch(51, 2.0);
+  const Snapshot snap2 = s.snapshot();
+  const auto& c1 = snap1.dedup.chunks();
+  const auto& c2 = snap2.dedup.chunks();
+  ASSERT_EQ(c1.size(), 1u);
+  ASSERT_EQ(c2.size(), 2u);
+  EXPECT_EQ(c2[0].get(), c1[0].get());
+
+  // A sweep past the first chunk drops it from the live log; the chunks
+  // sealed by the sweep and the next snapshot are the only new ones.
+  insert_batch(101, 3.0);
+  s.sweep_dedup(1.5);
+  insert_batch(151, 4.0);
+  const Snapshot snap3 = s.snapshot();
+  const auto& c3 = snap3.dedup.chunks();
+  ASSERT_EQ(c3.size(), 3u);
+  EXPECT_EQ(c3[0].get(), c2[1].get());
+  EXPECT_NE(c3[1].get(), c2[1].get());
+  EXPECT_NE(c3[2].get(), c3[1].get());
+  EXPECT_EQ(snap3.dedup.size(), 150u);
+
+  // Nothing appended since: the next snapshot seals nothing new.
+  const Snapshot snap4 = s.snapshot();
+  const auto& c4 = snap4.dedup.chunks();
+  ASSERT_EQ(c4.size(), c3.size());
+  for (std::size_t i = 0; i < c4.size(); ++i) {
+    EXPECT_EQ(c4[i].get(), c3[i].get()) << i;
+  }
+  EXPECT_EQ(c1[0]->size(), 50u);  // the swept chunk is still intact
+}
+
+TEST(StateStore, SnapshotAllocationsIndependentOfDedupSize) {
+  // snapshot() shares the log: sealing the open chunk (2), growing the
+  // chunk-pointer list (0 or 1) and copying it (1) is a bounded number
+  // of allocations, however many dedup entries the store holds.
+  const auto snapshot_allocs = [](std::uint64_t paths) {
+    StateStore s;
+    for (std::uint64_t p = 1; p <= paths; ++p) {
+      s.dedup_insert(p, static_cast<double>(p / 1000));
+      if (p % 1000 == 0) s.sweep_dedup(0.0);  // seals a chunk
+    }
+    const auto before = g_allocs.load(std::memory_order_relaxed);
+    const Snapshot snap = s.snapshot();
+    const auto allocs = g_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(snap.dedup.size(), paths);
+    return allocs;
+  };
+  EXPECT_LE(snapshot_allocs(2500), 4u);
+  EXPECT_LE(snapshot_allocs(250500), 4u);
 }
 
 // ----------------------------------------------------------- DurableStore
