@@ -6,7 +6,9 @@
 # allocations per event after warm-up), and appends the JSON result to
 # BENCH_history.jsonl so regressions are visible across commits. Fails
 # unless a full-mode recovery_bench run reproduces
-# bench/BENCH_recovery_baseline.json (host time excepted). Also runs
+# bench/BENCH_recovery_baseline.json (host time excepted), or unless a
+# seed-1 perfbench run of any workload misses its committed digest line
+# in bench/perfbench_digests_seed1.txt. Also runs
 # the trace_export example as an observability self-check: the Chrome
 # trace must parse as JSON and carry at least one scheduling-decision
 # record.
@@ -55,6 +57,16 @@ echo >> "$repo/BENCH_history.jsonl"
 "$build/bench/recovery_bench" --out "$out" >/dev/null
 python3 "$repo/scripts/compare_bench_baseline.py" \
   "$repo/bench/BENCH_recovery_baseline.json" "$out"
+
+# Simulated-outcome gate: each perfbench workload's digest line at seed 1
+# must equal the committed one; a change that perturbs a simulated draw
+# fails here until bench/perfbench_digests_seed1.txt is regenerated.
+for w in wordcount_tstorm throughput_test stateful_failover sched_fleet; do
+  python3 "$repo/perfbench/run.py" --workload "$w" --seed 1 --seconds 1 \
+    --trace 0 > "$out"
+  python3 "$repo/scripts/check_perfbench_digest.py" \
+    "$repo/bench/perfbench_digests_seed1.txt" "$out"
+done
 
 # Resource-aware placement on a heterogeneous fleet: the binary exits
 # nonzero unless rstorm beats round-robin on both inter-node traffic and

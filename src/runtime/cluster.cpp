@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -306,6 +307,9 @@ sched::TopologyId Cluster::submit(topo::Topology topology,
   topology_ids_.push_back(id);
   const topo::Topology& t = topologies_.back();
 
+  // Task ranges: this topology's tasks are appended here and nowhere else.
+  const std::size_t first_task = tasks_.size();
+  assert(static_cast<std::size_t>(task_offsets_.back()) == first_task);
   std::vector<sched::TaskId> ackers;
   for (const auto& component : t.components()) {
     for (int i = 0; i < component.parallelism; ++i) {
@@ -316,12 +320,14 @@ sched::TopologyId Cluster::submit(topo::Topology topology,
       }
     }
   }
+  task_offsets_.push_back(static_cast<sched::TaskId>(tasks_.size()));
   acker_tasks_[id] = std::move(ackers);
 
   if (checkpoints_ != nullptr) {
     std::vector<int> stateful;
-    for (const auto& info : tasks_) {
-      if (info.topology == id && info.component->stateful &&
+    for (std::size_t i = first_task; i < tasks_.size(); ++i) {
+      const TaskInfo& info = tasks_[i];
+      if (info.component->stateful &&
           info.component->kind == topo::ComponentKind::kBolt) {
         stateful.push_back(info.task);
       }
@@ -360,19 +366,29 @@ const TaskInfo& Cluster::task_info(sched::TaskId task) const {
 
 std::vector<sched::TaskId> Cluster::tasks_of(sched::TopologyId topo) const {
   std::vector<sched::TaskId> out;
-  for (const auto& t : tasks_) {
-    if (t.topology == topo) out.push_back(t.task);
+  if (topo < 0 || static_cast<std::size_t>(topo) >= topologies_.size()) {
+    return out;
   }
+  const auto i = static_cast<std::size_t>(topo);
+  out.resize(
+      static_cast<std::size_t>(task_offsets_[i + 1] - task_offsets_[i]));
+  std::iota(out.begin(), out.end(), task_offsets_[i]);
   return out;
 }
 
 std::vector<sched::TaskId> Cluster::tasks_of_component(
     sched::TopologyId topo, const std::string& component) const {
   std::vector<sched::TaskId> out;
-  for (const auto& t : tasks_) {
-    if (t.topology == topo && t.component->name == component) {
-      out.push_back(t.task);
+  if (topo < 0 || static_cast<std::size_t>(topo) >= topologies_.size()) {
+    return out;
+  }
+  // The topology's range holds each component's tasks in turn.
+  sched::TaskId task = task_offsets_[static_cast<std::size_t>(topo)];
+  for (const auto& c : topology(topo).components()) {
+    if (c.name == component) {
+      for (int i = 0; i < c.parallelism; ++i) out.push_back(task + i);
     }
+    task += c.parallelism;
   }
   return out;
 }

@@ -165,6 +165,10 @@ class Cluster {
   [[nodiscard]] std::vector<sched::TopologyId> topology_ids() const;
   [[nodiscard]] const std::vector<TaskInfo>& tasks() const { return tasks_; }
   [[nodiscard]] const TaskInfo& task_info(sched::TaskId task) const;
+  /// A topology's tasks are contiguous ids, assigned at submit() one
+  /// component after another in declaration order, so both lookups cost
+  /// O(components + result), not a scan of tasks(). Unknown topologies
+  /// and components yield an empty list.
   [[nodiscard]] std::vector<sched::TaskId> tasks_of(
       sched::TopologyId topo) const;
   [[nodiscard]] std::vector<sched::TaskId> tasks_of_component(
@@ -329,6 +333,10 @@ class Cluster {
   std::deque<topo::Topology> topologies_;
   std::vector<sched::TopologyId> topology_ids_;
   std::vector<TaskInfo> tasks_;  // indexed by TaskId
+  /// Task ranges: topology t owns task ids [task_offsets_[t],
+  /// task_offsets_[t + 1]), one component after another in declaration
+  /// order, each component's tasks by index. submit() is the only writer.
+  std::vector<sched::TaskId> task_offsets_ = {0};
   std::unordered_map<sched::TopologyId, std::vector<sched::TaskId>>
       acker_tasks_;
 

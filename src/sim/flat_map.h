@@ -6,8 +6,11 @@
 //
 // One key value is reserved as the empty-slot sentinel (template
 // parameter). Root ids use 0 (spouts never emit root 0); task ids use -1.
+// With V = Unit the map is a set whose slots hold only the key.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -15,6 +18,9 @@
 #include <vector>
 
 namespace tstorm::sim {
+
+/// Value type of a set-like FlatMap: takes no space in a slot.
+struct Unit {};
 
 template <typename K, typename V, K EmptyKey>
 class FlatMap {
@@ -61,6 +67,15 @@ class FlatMap {
     }
   }
   V& operator[](K key) { return get_or_insert(key); }
+
+  /// Sizes the table for `n` entries in one allocation, so inserting up to
+  /// `n` entries in total never grows it. Never shrinks.
+  void reserve(std::size_t n) {
+    // get_or_insert grows once (size + 1) * 4 > capacity * 3.
+    const std::size_t cap =
+        std::max<std::size_t>(16, std::bit_ceil((n * 4 + 2) / 3));
+    if (cap > slots_.size()) rehash(cap);
+  }
 
   /// Backward-shift erase: true if the key was present. Capacity is kept.
   bool erase(K key) noexcept {
@@ -136,9 +151,11 @@ class FlatMap {
     return static_cast<std::size_t>(x) & mask();
   }
 
-  void grow() {
+  void grow() { rehash(slots_.empty() ? 16 : slots_.size() * 2); }
+
+  void rehash(std::size_t capacity) {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    slots_.assign(capacity, Slot{});
     size_ = 0;
     for (Slot& s : old) {
       if (s.key == EmptyKey) continue;

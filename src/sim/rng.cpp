@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -25,39 +21,9 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(x);
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   assert(lo <= hi);
   return lo + (hi - lo) * uniform();
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = UINT64_MAX - UINT64_MAX % span;
-  std::uint64_t v;
-  do {
-    v = next_u64();
-  } while (v >= limit);
-  return lo + static_cast<std::int64_t>(v % span);
 }
 
 double Rng::exponential(double mean) {
@@ -100,6 +66,7 @@ std::uint64_t Rng::poisson(double mean) {
 
 std::uint64_t Rng::zipf(std::uint64_t n, double s) {
   assert(n > 0);
+  assert(s > 1.0);
   // Inverse-CDF via rejection (Devroye); adequate for workload generation.
   if (s != zipf_s_) {
     zipf_s_ = s;
@@ -121,9 +88,7 @@ std::uint64_t Rng::zipf(std::uint64_t n, double s) {
 
 std::string Rng::random_string(std::size_t length) {
   std::string out(length, 'a');
-  for (auto& c : out) {
-    c = static_cast<char>('a' + uniform_int(0, 25));
-  }
+  random_lowercase(out.data(), length);
   return out;
 }
 

@@ -180,14 +180,13 @@ class StateStore {
   std::uint64_t bytes_ = 0;
   bool replay_ = false;
 
-  struct Unit {};
   /// Sealed dedup records, oldest first (`log_.live_` is filled in on the
   /// copies snapshot() hands out; here the live count is index_.size()).
   DedupLog log_;
   /// Records appended since the last seal; capacity is reused.
   DedupLog::Chunk open_;
   /// Live paths (never 0). One record each, unless refreshed.
-  sim::FlatMap<std::uint64_t, Unit, 0> index_;
+  sim::FlatMap<std::uint64_t, sim::Unit, 0> index_;
   /// path -> time of its latest record, for refreshed paths only (a
   /// duplicate was inserted). Absent: the path has a single record.
   sim::FlatMap<std::uint64_t, double, 0> refreshed_;

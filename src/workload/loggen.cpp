@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <stdexcept>
+#include <string_view>
 
 namespace tstorm::workload {
 namespace {
@@ -18,23 +20,21 @@ LogGenerator::LogGenerator() : LogGenerator(Options{}) {}
 
 LogGenerator::LogGenerator(Options options)
     : options_(options), rng_(options.seed) {
+  if (!(options_.zipf_exponent > 1.0)) {  // also rejects NaN
+    throw std::invalid_argument("LogGenerator: zipf_exponent must be > 1");
+  }
   // The draws are spelled out one statement each: their order is part of
   // the seeded output, and operands of one `+` chain would be evaluated in
   // an order the compiler chooses. Strings are composed in a stack buffer.
   char buf[32];
-  const auto put = [](char* p, std::string_view s) {
-    return std::copy(s.begin(), s.end(), p);
-  };
+  // "/ecs/" dir(3) '/' page(6) ".aspx"; the page is drawn before the dir.
+  constexpr std::string_view kUri = "/ecs/xxx/xxxxxx.aspx";
+  std::copy(kUri.begin(), kUri.end(), buf);
   uris_.reserve(options_.distinct_uris);
   for (std::size_t i = 0; i < options_.distinct_uris; ++i) {
-    const std::string page = rng_.random_string(6);
-    const std::string dir = rng_.random_string(3);
-    char* p = put(buf, "/ecs/");
-    p = put(p, dir);
-    *p++ = '/';
-    p = put(p, page);
-    p = put(p, ".aspx");
-    uris_.emplace_back(buf, p);
+    rng_.random_lowercase(buf + 9, 6);
+    rng_.random_lowercase(buf + 5, 3);
+    uris_.emplace_back(buf, kUri.size());
   }
   ips_.reserve(options_.distinct_ips);
   for (std::size_t i = 0; i < options_.distinct_ips; ++i) {

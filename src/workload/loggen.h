@@ -27,6 +27,8 @@ class LogGenerator {
   struct Options {
     std::size_t distinct_uris = 500;
     std::size_t distinct_ips = 2000;
+    /// Must be > 1 (Rng::zipf's domain); the constructor throws
+    /// std::invalid_argument otherwise, NaN included.
     double zipf_exponent = 1.3;
     std::uint64_t seed = 11;
   };

@@ -17,6 +17,8 @@ class TextGenerator {
  public:
   struct Options {
     std::size_t vocabulary = 3000;
+    /// Must be > 1 (Rng::zipf's domain); the constructor throws
+    /// std::invalid_argument otherwise, NaN included.
     double zipf_exponent = 1.1;
     int min_words_per_line = 8;
     int max_words_per_line = 12;

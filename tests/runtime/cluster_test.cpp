@@ -6,6 +6,7 @@
 #include <set>
 
 #include "test_util.h"
+#include "workload/topologies.h"
 
 namespace tstorm::runtime {
 namespace {
@@ -69,6 +70,56 @@ TEST(Cluster, SecondTopologyGetsDistinctTaskIds) {
   std::set<sched::TaskId> all(ta.begin(), ta.end());
   all.insert(tb.begin(), tb.end());
   EXPECT_EQ(all.size(), ta.size() + tb.size());
+}
+
+TEST(Cluster, TaskRangesMatchBruteForceScan) {
+  sim::Simulation sim;
+  ClusterConfig cfg;
+  cfg.num_nodes = 20;
+  Cluster c(sim, cfg);
+  const auto check = [&c] {
+    for (const sched::TopologyId id : c.topology_ids()) {
+      std::vector<sched::TaskId> all;
+      for (const auto& t : c.tasks()) {
+        if (t.topology == id) all.push_back(t.task);
+      }
+      EXPECT_EQ(c.tasks_of(id), all) << "topology " << id;
+      for (const auto& component : c.topology(id).components()) {
+        std::vector<sched::TaskId> want;
+        for (const auto& t : c.tasks()) {
+          if (t.topology == id && t.component->name == component.name) {
+            want.push_back(t.task);
+          }
+        }
+        EXPECT_EQ(c.tasks_of_component(id, component.name), want)
+            << "topology " << id << " component " << component.name;
+      }
+      EXPECT_TRUE(c.tasks_of_component(id, "no-such-component").empty());
+    }
+    const auto unknown = static_cast<sched::TopologyId>(
+        c.topology_ids().size());
+    EXPECT_TRUE(c.tasks_of(unknown).empty());
+    EXPECT_TRUE(c.tasks_of(-1).empty());
+    EXPECT_TRUE(c.tasks_of_component(unknown, "s").empty());
+  };
+  workload::WordCountOptions wc;
+  wc.workers = 4;
+  c.submit(workload::make_word_count(wc).topology);
+  workload::ThroughputTestOptions tt;
+  tt.workers = 4;
+  c.submit(workload::make_throughput_test(tt));
+  const auto killed = c.submit(small_topology());
+  workload::LogStreamOptions ls;
+  ls.workers = 4;
+  c.submit(workload::make_log_stream(ls).topology);
+  c.submit(workload::make_chain({}));
+  check();
+  c.kill_topology(killed);
+  c.submit(small_topology(2, 0));
+  c.submit(workload::make_word_count(wc).topology);
+  check();
+  sim.run_until(5.0);
+  check();
 }
 
 TEST(Cluster, SubmissionPublishesAssignment) {

@@ -6,13 +6,48 @@
 // with small capacities to force wraps and shifts constantly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
+#include <new>
 #include <random>
+#include <set>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "sim/flat_map.h"
 #include "sim/ring_deque.h"
+
+// Counts heap allocations in this test binary, for the reserve checks
+// below.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+// Library code (std::stable_sort's buffer) may allocate through the
+// nothrow form and free through the sized delete; all use malloc/free.
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n != 0 ? n : 1);
+}
+// All out of line, so GCC does not pair an inlined malloc() or free() with
+// the other side's operator (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace tstorm::sim {
 namespace {
@@ -125,7 +160,6 @@ TEST(FlatMap, EraseIfMatchesUnorderedMapOnSmallTables) {
 }
 
 TEST(FlatMap, EmptyValueTakesNoSlotSpace) {
-  struct Unit {};
   static_assert(FlatMap<std::uint64_t, Unit, 0>::slot_bytes() ==
                 sizeof(std::uint64_t));
   FlatMap<std::uint64_t, Unit, 0> set;
@@ -137,6 +171,50 @@ TEST(FlatMap, EmptyValueTakesNoSlotSpace) {
   EXPECT_TRUE(set.contains(9));
   EXPECT_TRUE(set.erase(9));
   EXPECT_TRUE(set.empty());
+}
+
+TEST(FlatMap, ReserveAvoidsGrowth) {
+  std::mt19937_64 rng(17);
+  // Sizes around the power-of-two load-factor thresholds (12 of 16, 24 of
+  // 32, 768 of 1024, ...), where an off-by-one reserve would regrow.
+  for (const std::size_t n :
+       {0u, 1u, 12u, 13u, 24u, 25u, 767u, 768u, 769u, 3000u, 30000u}) {
+    // n distinct keys, with repeats mixed in; never the empty key 0.
+    std::vector<std::uint64_t> keys;
+    std::unordered_set<std::uint64_t> oracle;
+    while (oracle.size() < n) {
+      keys.push_back(rng() % (4 * n) + 1);
+      oracle.insert(keys.back());
+    }
+    FlatMap<std::uint64_t, Unit, 0> set;
+    set.reserve(n);
+    const auto before = g_allocs.load(std::memory_order_relaxed);
+    for (const std::uint64_t k : keys) set.get_or_insert(k);
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+        << "n " << n;
+    EXPECT_EQ(set.size(), oracle.size());
+    std::set<std::uint64_t> got;
+    set.for_each([&](std::uint64_t k, Unit) { got.insert(k); });
+    EXPECT_EQ(got, std::set<std::uint64_t>(oracle.begin(), oracle.end()))
+        << "n " << n;
+  }
+}
+
+TEST(FlatMap, ReserveIsOneAllocationAndKeepsEntries) {
+  FlatMap<int, int, -1> m;
+  for (int k = 0; k < 100; ++k) m[k] = k * 3;
+  const auto before = g_allocs.load(std::memory_order_relaxed);
+  m.reserve(5000);
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 1u);
+  m.reserve(10);  // never shrinks, never reallocates
+  for (int k = 100; k < 5000; ++k) m[k] = k * 3;
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 1u);
+  ASSERT_EQ(m.size(), 5000u);
+  for (int k = 0; k < 5000; ++k) {
+    const int* v = m.find(k);
+    ASSERT_NE(v, nullptr) << k;
+    EXPECT_EQ(*v, k * 3);
+  }
 }
 
 TEST(FlatMap, ClearKeepsCapacityAndWorks) {

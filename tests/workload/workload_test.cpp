@@ -1,14 +1,51 @@
 // Workload generators, external queue, and the three paper topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <map>
+#include <new>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "core/system.h"
 #include "workload/topologies.h"
+
+// Counts heap allocations in this test binary, for the set-up cost checks
+// below.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+// Library code (std::stable_sort's buffer) may allocate through the
+// nothrow form and free through the sized delete; all use malloc/free.
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n != 0 ? n : 1);
+}
+// All out of line, so GCC does not pair an inlined malloc() or free() with
+// the other side's operator (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace tstorm::workload {
 namespace {
@@ -52,6 +89,81 @@ TEST(TextGenerator, DeterministicForSeed) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(a.next_line(), b.next_line());
 }
 
+// Reference for the packed-key dedup: the same draws, with candidates kept
+// as std::strings and deduplicated in an unordered_set by string equality.
+// The length bound is raised past lengths whose words are all taken, as
+// TextGenerator does (without it a vocabulary over 5,408 words never
+// fills).
+std::vector<std::string> reference_vocabulary(std::size_t n,
+                                              std::uint64_t seed) {
+  // Words of 2..len letters: 26^2 + ... + 26^len.
+  const auto words_up_to = [](std::int64_t len) {
+    std::uint64_t total = 0;
+    std::uint64_t of_len = 26;
+    for (std::int64_t k = 2; k <= len; ++k) total += (of_len *= 26);
+    return total;
+  };
+  sim::Rng rng(seed);
+  std::unordered_set<std::string> seen;
+  std::vector<std::string> vocab;
+  while (vocab.size() < n) {
+    auto hi = 2 + static_cast<std::int64_t>(vocab.size() * 8 / n);
+    while (words_up_to(hi) <= vocab.size()) ++hi;
+    const auto len = static_cast<std::size_t>(rng.uniform_int(2, hi));
+    auto w = rng.random_string(len);
+    if (seen.insert(w).second) vocab.push_back(std::move(w));
+  }
+  return vocab;
+}
+
+TEST(TextGenerator, VocabularyMatchesStringSetReference) {
+  // 5,409 is the smallest vocabulary that exhausts the two-letter words.
+  for (const std::size_t n : {1u, 2u, 50u, 676u, 3000u, 5409u, 20000u}) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      TextGenerator::Options opt;
+      opt.vocabulary = n;
+      opt.seed = seed;
+      const TextGenerator gen(opt);
+      const auto& vocab = gen.vocabulary();
+      ASSERT_EQ(vocab, reference_vocabulary(n, seed))
+          << "vocabulary " << n << " seed " << seed;
+      const auto [shortest, longest] = std::minmax_element(
+          vocab.begin(), vocab.end(),
+          [](const auto& a, const auto& b) { return a.size() < b.size(); });
+      EXPECT_GE(shortest->size(), 2u);
+      EXPECT_LE(longest->size(), 9u);
+    }
+  }
+}
+
+TEST(TextGenerator, ConstructionAllocationsIndependentOfVocabulary) {
+  // Set-up cost gate: the vocabulary vector, the dedup table and the line
+  // buffer, whatever the vocabulary size (words fit the small-string
+  // buffer), so set-up does not allocate per word.
+  for (const std::size_t n : {3000u, 30000u}) {
+    TextGenerator::Options opt;
+    opt.vocabulary = n;
+    const auto before = g_allocs.load(std::memory_order_relaxed);
+    const TextGenerator gen(opt);
+    const auto allocs = g_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_LE(allocs, 4u) << "vocabulary " << n;
+    EXPECT_EQ(gen.vocabulary().size(), n);
+  }
+}
+
+TEST(TextGenerator, RejectsZipfExponentAtMostOne) {
+  for (const double s :
+       {1.0, 0.8, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    TextGenerator::Options opt;
+    opt.zipf_exponent = s;
+    EXPECT_THROW(TextGenerator{opt}, std::invalid_argument) << s;
+  }
+  TextGenerator::Options opt;
+  opt.zipf_exponent = 1.01;  // ablation_skew's smallest exponent
+  TextGenerator gen(opt);
+  EXPECT_FALSE(gen.next_line().empty());
+}
+
 TEST(SplitWords, HandlesEdgeCases) {
   EXPECT_TRUE(split_words("").empty());
   EXPECT_EQ(split_words("one"), (std::vector<std::string>{"one"}));
@@ -75,6 +187,19 @@ TEST(LogGenerator, RecordsVary) {
   std::set<std::string> uris;
   for (int i = 0; i < 200; ++i) uris.insert(gen.next_record().uri);
   EXPECT_GT(uris.size(), 10u);
+}
+
+TEST(LogGenerator, RejectsZipfExponentAtMostOne) {
+  for (const double s :
+       {1.0, 0.8, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    LogGenerator::Options opt;
+    opt.zipf_exponent = s;
+    EXPECT_THROW(LogGenerator{opt}, std::invalid_argument) << s;
+  }
+  LogGenerator::Options opt;
+  opt.zipf_exponent = 1.01;
+  LogGenerator gen(opt);
+  EXPECT_FALSE(gen.next_json_line().empty());
 }
 
 TEST(LogGenerator, StatusesFromRealisticSet) {
