@@ -5,8 +5,9 @@
 # figure and the wordcount_steady tuple-path figure at exactly 0 heap
 # allocations per event after warm-up), and appends the JSON result to
 # BENCH_history.jsonl so regressions are visible across commits. Fails
-# unless a full-mode recovery_bench run reproduces
-# bench/BENCH_recovery_baseline.json (host time excepted), or unless a
+# when a full-mode recovery_bench or ablation_resource_aware run does not
+# reproduce its committed baseline (bench/BENCH_recovery_baseline.json,
+# bench/BENCH_resource_baseline.json; host time excepted), or when a
 # seed-1 perfbench run of any workload misses its committed digest line
 # in bench/perfbench_digests_seed1.txt. Also runs
 # the trace_export example as an observability self-check: the Chrome
@@ -57,6 +58,13 @@ echo >> "$repo/BENCH_history.jsonl"
 "$build/bench/recovery_bench" --out "$out" >/dev/null
 python3 "$repo/scripts/compare_bench_baseline.py" \
   "$repo/bench/BENCH_recovery_baseline.json" "$out"
+
+# Placement gate: the full-mode heterogeneous-fleet run is deterministic,
+# so every row of bench/BENCH_resource_baseline.json (keyed by algorithm,
+# wall_s excepted) must be reproduced as printed.
+"$build/bench/ablation_resource_aware" --out "$out" >/dev/null
+python3 "$repo/scripts/compare_bench_baseline.py" \
+  "$repo/bench/BENCH_resource_baseline.json" "$out"
 
 # Simulated-outcome gate: each perfbench workload's digest line at seed 1
 # must equal the committed one; a change that perturbs a simulated draw

@@ -15,13 +15,6 @@ struct WeightedEdge {
   double w;
 };
 
-int requested_workers(const SchedulerInput& in, TopologyId topo) {
-  for (const auto& t : in.topologies) {
-    if (t.id == topo) return t.requested_workers;
-  }
-  return 1;
-}
-
 /// Phase 1 of both DEBS'13 schedulers: partition one topology's executors
 /// into `n_workers` groups, greedily co-locating the heaviest edges first,
 /// subject to a per-group size cap of ceil(Ne / n_workers).
@@ -42,14 +35,13 @@ std::vector<std::vector<TaskId>> partition_executors(
               return x.b < y.b;
             });
 
-  const auto least_loaded = [&]() -> int {
-    int best = 0;
-    for (std::size_t g = 1; g < groups.size(); ++g) {
-      if (groups[g].size() < groups[static_cast<std::size_t>(best)].size()) {
-        best = static_cast<int>(g);
-      }
-    }
-    return best;
+  const auto least_loaded = [&]() -> int {  // lowest index on ties
+    return static_cast<int>(
+        std::min_element(groups.begin(), groups.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.size() < b.size();
+                         }) -
+        groups.begin());
   };
   const auto place = [&](TaskId t, int g) {
     groups[static_cast<std::size_t>(g)].push_back(t);
@@ -131,60 +123,45 @@ ScheduleResult place_groups(const SchedulerInput& in,
     return x.first < y.first;
   });
 
-  std::vector<NodeId> group_node(groups.size(), -1);
-  std::vector<SlotIndex> group_slot(groups.size(), kUnassigned);
+  // (node, slot) of each group once placed.
+  std::vector<std::pair<NodeId, SlotIndex>> placed(groups.size(),
+                                                   {-1, kUnassigned});
 
   const auto take_slot_on = [&](NodeId preferred) -> std::pair<NodeId, SlotIndex> {
-    if (preferred >= 0) {
-      auto it = free_slots.find(preferred);
-      if (it != free_slots.end() && !it->second.empty()) {
-        SlotIndex s = it->second.front();
-        it->second.erase(it->second.begin());
-        return {preferred, s};
-      }
+    auto it = preferred >= 0 ? free_slots.find(preferred) : free_slots.end();
+    if (it == free_slots.end() || it->second.empty()) {
+      // Node with the most free slots (spreads load), lowest id on ties.
+      it = std::max_element(
+          free_slots.begin(), free_slots.end(), [](const auto& a, const auto& b) {
+            return a.second.size() < b.second.size();
+          });
     }
-    // Node with the most free slots (spreads load), lowest id on ties.
-    NodeId best = -1;
-    std::size_t best_free = 0;
-    for (const auto& [node, v] : free_slots) {
-      if (v.size() > best_free) {
-        best = node;
-        best_free = v.size();
-      }
-    }
-    if (best < 0) return {-1, kUnassigned};
-    SlotIndex s = free_slots[best].front();
-    free_slots[best].erase(free_slots[best].begin());
-    return {best, s};
+    if (it == free_slots.end() || it->second.empty()) return {-1, kUnassigned};
+    const SlotIndex s = it->second.front();
+    it->second.erase(it->second.begin());
+    return {it->first, s};
   };
-  const auto ensure_placed = [&](int g, NodeId preferred) {
-    if (group_slot[static_cast<std::size_t>(g)] != kUnassigned) return;
-    auto [node, slot] = take_slot_on(preferred);
-    group_node[static_cast<std::size_t>(g)] = node;
-    group_slot[static_cast<std::size_t>(g)] = slot;
+  const auto ensure_placed = [&](std::size_t g, NodeId preferred) {
+    if (placed[g].second == kUnassigned) placed[g] = take_slot_on(preferred);
   };
 
+  // Heaviest pairs first: an unplaced group joins its placed partner's
+  // node; when neither is placed, the first picks freely.
   for (const auto& [key, w] : pairs) {
-    const auto [ga, gb] = key;
-    const bool pa = group_slot[static_cast<std::size_t>(ga)] != kUnassigned;
-    const bool pb = group_slot[static_cast<std::size_t>(gb)] != kUnassigned;
-    if (pa && pb) continue;
-    if (!pa && !pb) {
-      ensure_placed(ga, -1);
-      ensure_placed(gb, group_node[static_cast<std::size_t>(ga)]);
-    } else if (pa) {
-      ensure_placed(gb, group_node[static_cast<std::size_t>(ga)]);
+    const auto ga = static_cast<std::size_t>(key.first);
+    const auto gb = static_cast<std::size_t>(key.second);
+    if (placed[ga].second == kUnassigned &&
+        placed[gb].second != kUnassigned) {
+      ensure_placed(ga, placed[gb].first);
     } else {
-      ensure_placed(ga, group_node[static_cast<std::size_t>(gb)]);
+      ensure_placed(ga, -1);
+      ensure_placed(gb, placed[ga].first);
     }
   }
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (!groups[g].empty()) ensure_placed(static_cast<int>(g), -1);
-  }
-
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (group_slot[g] == kUnassigned) continue;
-    for (TaskId t : groups[g]) result.assignment[t] = group_slot[g];
+    if (!groups[g].empty()) ensure_placed(g, -1);
+    if (placed[g].second == kUnassigned) continue;
+    for (TaskId t : groups[g]) result.assignment[t] = placed[g].second;
   }
   return result;
 }
@@ -193,25 +170,24 @@ ScheduleResult run_two_phase(const SchedulerInput& in,
                              const std::vector<WeightedEdge>& edges) {
   // Partition per topology, then place all groups together.
   std::map<TopologyId, std::vector<TaskId>> tasks_by_topo;
+  std::unordered_map<TaskId, TopologyId> topo_of;
   for (const auto& e : in.executors) {
     tasks_by_topo[e.topology].push_back(e.task);
+    topo_of[e.task] = e.topology;
   }
-  std::unordered_map<TaskId, TopologyId> topo_of;
-  for (const auto& e : in.executors) topo_of[e.task] = e.topology;
+  std::map<TopologyId, std::vector<WeightedEdge>> edges_by_topo;
+  for (const auto& e : edges) {
+    auto a = topo_of.find(e.a);
+    auto b = topo_of.find(e.b);
+    if (a != topo_of.end() && b != topo_of.end() && a->second == b->second) {
+      edges_by_topo[a->second].push_back(e);
+    }
+  }
 
   std::vector<std::vector<TaskId>> all_groups;
   for (auto& [topo, tasks] : tasks_by_topo) {
-    std::vector<WeightedEdge> topo_edges;
-    for (const auto& e : edges) {
-      auto a = topo_of.find(e.a);
-      auto b = topo_of.find(e.b);
-      if (a != topo_of.end() && b != topo_of.end() && a->second == topo &&
-          b->second == topo) {
-        topo_edges.push_back(e);
-      }
-    }
-    auto groups =
-        partition_executors(tasks, topo_edges, requested_workers(in, topo));
+    auto groups = partition_executors(tasks, edges_by_topo[topo],
+                                      requested_workers(in, topo));
     for (auto& g : groups) {
       if (!g.empty()) all_groups.push_back(std::move(g));
     }

@@ -1,177 +1,55 @@
 #include "sched/local_search.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
+#include "sched/placement_state.h"
 #include "sched/traffic_aware.h"
 
 namespace tstorm::sched {
 namespace {
 
-struct State {
-  // Inputs, indexed for O(1) access.
-  std::unordered_map<TaskId, const ExecutorSpec*> executors;
-  std::unordered_map<TaskId, std::vector<std::pair<TaskId, double>>> adj;
-  std::unordered_map<SlotIndex, NodeId> slot_node;
-  std::unordered_map<NodeId, std::vector<SlotIndex>> node_slots;
-  std::unordered_set<SlotIndex> blocked;
-
-  // Mutable placement state.
-  Placement placement;
-  std::unordered_map<SlotIndex, TopologyId> slot_owner;  // -1 none
-  std::unordered_map<SlotIndex, int> slot_count;
-  std::unordered_map<NodeId, ResourceVector> node_used;
-  std::unordered_map<NodeId, int> node_count;
-  /// Queue-pressure weight used for effective demands (from the input).
-  double qw = 0;
-  // (topology, node) -> slot used there.
-  std::unordered_map<long long, SlotIndex> topo_slot;
-
-  static long long key(TopologyId t, NodeId n) {
-    return (static_cast<long long>(t) << 32) |
-           static_cast<unsigned int>(n);
-  }
-
-  /// Traffic between executor e and executors currently on `node`
-  /// (excluding e itself).
-  double local_traffic(TaskId e, NodeId node) const {
-    double total = 0;
-    auto it = adj.find(e);
-    if (it == adj.end()) return 0;
-    for (const auto& [peer, rate] : it->second) {
-      if (peer == e) continue;
-      auto p = placement.find(peer);
-      if (p == placement.end()) continue;
-      if (slot_node.at(p->second) == node) total += rate;
-    }
-    return total;
-  }
-
-  ResourceVector demand(TaskId e) const {
-    return executors.at(e)->effective_demand(qw);
-  }
-
-  void remove(TaskId e) {
-    const SlotIndex slot = placement.at(e);
-    const NodeId node = slot_node.at(slot);
-    const TopologyId topo = executors.at(e)->topology;
-    placement.erase(e);
-    const ResourceVector d = demand(e);
-    auto& used = node_used[node];
-    for (std::size_t i = 0; i < kResourceDims; ++i) used[i] -= d[i];
-    node_count[node] -= 1;
-    if (--slot_count[slot] == 0) {
-      slot_owner.erase(slot);
-      topo_slot.erase(key(topo, node));
-    }
-  }
-
-  void place(TaskId e, SlotIndex slot) {
-    const NodeId node = slot_node.at(slot);
-    const TopologyId topo = executors.at(e)->topology;
-    placement[e] = slot;
-    node_used[node] = resource_add(node_used[node], demand(e));
-    node_count[node] += 1;
-    slot_count[slot] += 1;
-    slot_owner[slot] = topo;
-    topo_slot[key(topo, node)] = slot;
-  }
-};
+/// Maximum full improvement passes over all executors.
+constexpr int kMaxPasses = 8;
+/// Stop when a full pass improves traffic by less than this fraction.
+constexpr double kMinGain = 1e-3;
 
 }  // namespace
 
 ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
-  // Seed with Algorithm 1.
-  TrafficAwareScheduler greedy;
-  ScheduleResult result = greedy.schedule(in);
+  // Seed with Algorithm 1 and continue from its placement state.
+  PlacementState st(in);
+  ScheduleResult result = traffic_aware_pass(st);
   if (result.assignment.size() != in.executors.size()) return result;
 
-  State st;
-  st.qw = in.queue_pressure_weight;
-  for (const auto& e : in.executors) {
-    st.executors.emplace(e.task, &e);
-    st.adj[e.task];
-  }
-  for (const auto& t : in.traffic) {
-    if (t.rate <= 0) continue;
-    if (!st.executors.contains(t.src) || !st.executors.contains(t.dst)) {
-      continue;
-    }
-    st.adj[t.src].emplace_back(t.dst, t.rate);
-    st.adj[t.dst].emplace_back(t.src, t.rate);
-  }
-  for (const auto& s : in.slots) {
-    st.slot_node.emplace(s.slot, s.node);
-    st.node_slots[s.node].push_back(s.slot);
-  }
-  st.blocked = occupied_slot_set(in);
-  st.placement = result.assignment;
-  for (const auto& [task, slot] : st.placement) {
-    const NodeId node = st.slot_node.at(slot);
-    const TopologyId topo = st.executors.at(task)->topology;
-    st.node_used[node] =
-        resource_add(st.node_used[node], st.demand(task));
-    st.node_count[node] += 1;
-    st.slot_count[slot] += 1;
-    st.slot_owner[slot] = topo;
-    st.topo_slot[State::key(topo, node)] = slot;
-  }
-
-  const double ne = static_cast<double>(in.executors.size());
-  const double kk = static_cast<double>(st.node_slots.size());
-  const int count_limit = std::max(
-      1, static_cast<int>(std::ceil(in.gamma * ne / std::max(1.0, kk) -
-                                    1e-9)));
-
-  for (int pass = 0; pass < options_.max_passes; ++pass) {
+  std::vector<double> traffic_on_node;
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     double pass_gain = 0;
     for (const auto& e : in.executors) {
-      const SlotIndex cur_slot = st.placement.at(e.task);
-      const NodeId cur_node = st.slot_node.at(cur_slot);
-      const double cur_local = st.local_traffic(e.task, cur_node);
+      st.traffic_by_node(e.task, traffic_on_node);
+      const NodeId cur_node = st.task(e.task).node;
+      const double cur_local =
+          traffic_on_node[static_cast<std::size_t>(cur_node)];
 
-      // Find the best alternative node.
-      NodeId best_node = -1;
+      // Find the best alternative node; equal gains keep the lowest id.
       SlotIndex best_slot = kUnassigned;
       double best_gain = 0;
-      for (const auto& [node, slots] : st.node_slots) {
+      for (NodeId node = 0; node <= st.max_node(); ++node) {
         if (node == cur_node) continue;
-        // Feasible slot on this node for e's topology.
-        SlotIndex target = kUnassigned;
-        auto lock = st.topo_slot.find(State::key(e.topology, node));
-        if (lock != st.topo_slot.end()) {
-          target = lock->second;
-        } else {
-          for (SlotIndex s : slots) {
-            if (st.blocked.contains(s)) continue;
-            if (!st.slot_owner.contains(s)) {
-              target = s;
-              break;
-            }
-          }
-        }
+        const SlotIndex target = st.eligible_slot(e.topology, node);
         if (target == kUnassigned) continue;
-        if (!resource_fits(st.node_used[node], st.demand(e.task),
-                           in.node_capacity(node))) {
-          continue;
-        }
-        if (st.node_count[node] + 1 > count_limit) continue;
+        if (!st.fits(e.task, node, true)) continue;
         const double gain =
-            st.local_traffic(e.task, node) - cur_local;
+            traffic_on_node[static_cast<std::size_t>(node)] - cur_local;
         if (gain > best_gain + 1e-12) {
           best_gain = gain;
-          best_node = node;
           best_slot = target;
         }
       }
-      if (best_node >= 0) {
+      if (best_slot != kUnassigned) {
         st.remove(e.task);
-        // Re-resolve the target slot: removing e may have freed its old
-        // slot but cannot invalidate the chosen one.
         st.place(e.task, best_slot);
+        result.assignment[e.task] = best_slot;
         pass_gain += best_gain;
       }
     }
@@ -183,27 +61,27 @@ ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
       for (std::size_t j = i + 1; j < in.executors.size(); ++j) {
         const auto& f = in.executors[j];
         if (e.topology != f.topology) continue;
-        const SlotIndex se = st.placement.at(e.task);
-        const SlotIndex sf = st.placement.at(f.task);
-        const NodeId na = st.slot_node.at(se);
-        const NodeId nb = st.slot_node.at(sf);
+        const SlotIndex se = result.assignment.at(e.task);
+        const SlotIndex sf = result.assignment.at(f.task);
+        const NodeId na = st.task(e.task).node;
+        const NodeId nb = st.task(f.task).node;
         if (na == nb) continue;
         // Direct traffic between the pair stays inter-node either way.
         double r_ef = 0;
-        for (const auto& [peer, rate] : st.adj.at(e.task)) {
+        for (const auto& [peer, rate] : st.task(e.task).links) {
           if (peer == f.task) r_ef += rate;
         }
-        const double gain = st.local_traffic(e.task, nb) +
-                            st.local_traffic(f.task, na) -
-                            st.local_traffic(e.task, na) -
-                            st.local_traffic(f.task, nb) - 2.0 * r_ef;
+        const double gain = st.traffic_to(e.task, nb) +
+                            st.traffic_to(f.task, na) -
+                            st.traffic_to(e.task, na) -
+                            st.traffic_to(f.task, nb) - 2.0 * r_ef;
         if (gain <= 1e-9) continue;
         // Capacity after the exchange (counts are unchanged).
-        const ResourceVector de = st.demand(e.task);
-        const ResourceVector df = st.demand(f.task);
+        const ResourceVector& de = st.task(e.task).demand;
+        const ResourceVector& df = st.task(f.task).demand;
         const auto swap_fits = [&](NodeId n, const ResourceVector& out,
                                    const ResourceVector& inc) {
-          ResourceVector used = st.node_used[n];
+          ResourceVector used = st.node(n).used;
           for (std::size_t d = 0; d < kResourceDims; ++d) used[d] -= out[d];
           return resource_fits(used, inc, in.node_capacity(n));
         };
@@ -212,15 +90,16 @@ ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
         st.remove(f.task);
         st.place(e.task, sf);
         st.place(f.task, se);
+        result.assignment[e.task] = sf;
+        result.assignment[f.task] = se;
         pass_gain += gain;
       }
     }
 
-    const double total = internode_traffic(in, st.placement);
-    if (pass_gain <= options_.min_gain * std::max(1.0, total)) break;
+    const double total = internode_traffic(in, result.assignment);
+    if (pass_gain <= kMinGain * std::max(1.0, total)) break;
   }
 
-  result.assignment = st.placement;
   return result;
 }
 

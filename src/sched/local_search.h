@@ -1,35 +1,24 @@
 // LocalSearchScheduler: an extension beyond the paper. Algorithm 1 is a
 // single-pass greedy ("finding the best scheduling solution is quite
 // challenging", section III); this scheduler starts from Algorithm 1's
-// placement and hill-climbs with single-executor moves, accepting any move
-// that strictly reduces inter-node traffic while preserving all three of
-// Algorithm 1's constraints. It quantifies how much traffic the greedy
-// leaves on the table at a bounded extra cost (the move pass is
-// O(iterations * Ne * Ns)).
+// placement and hill-climbs with single-executor moves and same-topology
+// swaps, accepting any step that strictly reduces inter-node traffic while
+// preserving all three of Algorithm 1's constraints (the same count limit
+// as the greedy; equal gains go to the lowest node id). It quantifies how
+// much traffic the greedy leaves on the table at a bounded extra cost: at
+// most 8 passes, stopping once a pass gains under 0.1% of the remaining
+// inter-node traffic.
 #pragma once
 
 #include "sched/scheduler.h"
 
 namespace tstorm::sched {
 
-struct LocalSearchOptions {
-  /// Maximum full improvement passes over all executors.
-  int max_passes = 8;
-  /// Stop when a full pass improves traffic by less than this fraction.
-  double min_gain = 1e-3;
-};
-
 class LocalSearchScheduler final : public ISchedulingAlgorithm {
  public:
-  explicit LocalSearchScheduler(LocalSearchOptions options = {})
-      : options_(options) {}
-
   ScheduleResult schedule(const SchedulerInput& input) override;
 
   [[nodiscard]] std::string name() const override { return "local-search"; }
-
- private:
-  LocalSearchOptions options_;
 };
 
 }  // namespace tstorm::sched

@@ -1,6 +1,6 @@
 #include "sched/scheduler.h"
 
-#include <algorithm>
+#include <memory>
 
 #include "sched/aniello.h"
 #include "sched/local_search.h"
@@ -9,39 +9,28 @@
 #include "sched/traffic_aware.h"
 
 namespace tstorm::sched {
+namespace {
+
+template <typename Algorithm>
+void add_builtin(AlgorithmRegistry& registry, const std::string& name) {
+  registry.register_algorithm(name,
+                              [] { return std::make_unique<Algorithm>(); });
+}
+
+}  // namespace
+
+AlgorithmRegistry::AlgorithmRegistry() {
+  add_builtin<TrafficAwareScheduler>(*this, "traffic-aware");
+  add_builtin<RoundRobinScheduler>(*this, "round-robin");
+  add_builtin<TStormInitialScheduler>(*this, "tstorm-initial");
+  add_builtin<AnielloOfflineScheduler>(*this, "aniello-offline");
+  add_builtin<AnielloOnlineScheduler>(*this, "aniello-online");
+  add_builtin<LocalSearchScheduler>(*this, "local-search");
+  add_builtin<RStormScheduler>(*this, "rstorm");
+}
 
 AlgorithmRegistry& AlgorithmRegistry::instance() {
   static AlgorithmRegistry registry;
-  static const bool builtins_registered = [] {
-    registry.register_algorithm("traffic-aware", [] {
-      return std::unique_ptr<ISchedulingAlgorithm>(
-          new TrafficAwareScheduler());
-    });
-    registry.register_algorithm("round-robin", [] {
-      return std::unique_ptr<ISchedulingAlgorithm>(new RoundRobinScheduler());
-    });
-    registry.register_algorithm("tstorm-initial", [] {
-      return std::unique_ptr<ISchedulingAlgorithm>(
-          new TStormInitialScheduler());
-    });
-    registry.register_algorithm("aniello-offline", [] {
-      return std::unique_ptr<ISchedulingAlgorithm>(
-          new AnielloOfflineScheduler());
-    });
-    registry.register_algorithm("aniello-online", [] {
-      return std::unique_ptr<ISchedulingAlgorithm>(
-          new AnielloOnlineScheduler());
-    });
-    registry.register_algorithm("local-search", [] {
-      return std::unique_ptr<ISchedulingAlgorithm>(
-          new LocalSearchScheduler());
-    });
-    registry.register_algorithm("rstorm", [] {
-      return std::unique_ptr<ISchedulingAlgorithm>(new RStormScheduler());
-    });
-    return true;
-  }();
-  (void)builtins_registered;
   return registry;
 }
 

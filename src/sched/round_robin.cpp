@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <unordered_set>
 
 namespace tstorm::sched {
@@ -22,13 +21,6 @@ std::vector<SlotSpec> interleaved_free_slots(const SchedulerInput& in) {
               return a.node < b.node;
             });
   return slots;
-}
-
-int requested_workers(const SchedulerInput& in, TopologyId topo) {
-  for (const auto& t : in.topologies) {
-    if (t.id == topo) return t.requested_workers;
-  }
-  return 1;
 }
 
 /// Executors grouped by topology, preserving input (task) order. With

@@ -4,25 +4,19 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <queue>
-#include <unordered_map>
 #include <unordered_set>
+
+#include "sched/placement_state.h"
 
 namespace tstorm::sched {
 namespace {
 
-struct NodeState {
-  ResourceVector used{};
-  /// topology -> slot locked for it on this node (one worker per topology
-  /// per node, same structural invariant as Algorithm 1).
-  std::unordered_map<TopologyId, SlotIndex> topo_slot;
-};
-
-struct SlotState {
-  NodeId node = -1;
-  TopologyId owner = -1;
-  bool blocked = false;
-};
+/// Term weights of the squared distance. Network distance dominates —
+/// R-Storm's ordering is network proximity first, then resource fit (the
+/// paper's theta_1 >> theta_2, theta_3).
+constexpr double kNetworkDistanceWeight = 10.0;
+constexpr double kCpuWeight = 1.0;
+constexpr double kBandwidthWeight = 1.0;
 
 /// Breadth-first task order per topology, spouts first — R-Storm walks the
 /// topology DAG so each task is placed right after its upstream
@@ -32,40 +26,32 @@ struct SlotState {
 std::vector<TaskId> bfs_order(
     const std::vector<TaskId>& tasks,
     const std::vector<std::pair<TaskId, TaskId>>& edges) {
-  std::unordered_set<TaskId> members(tasks.begin(), tasks.end());
-  std::map<TaskId, std::vector<TaskId>> out;
-  std::unordered_map<TaskId, int> in_degree;
+  std::map<TaskId, int> in_degree;  // also the member set, ascending
   for (TaskId t : tasks) in_degree[t] = 0;
+  std::map<TaskId, std::vector<TaskId>> out;
   for (const auto& [a, b] : edges) {
-    if (!members.contains(a) || !members.contains(b)) continue;
+    if (!in_degree.contains(a) || !in_degree.contains(b)) continue;
     out[a].push_back(b);
     in_degree[b] += 1;
   }
   for (auto& [t, v] : out) std::sort(v.begin(), v.end());
 
-  std::vector<TaskId> sorted_tasks(tasks);
-  std::sort(sorted_tasks.begin(), sorted_tasks.end());
-
+  // `order` doubles as the BFS queue: tasks are appended when first seen.
   std::vector<TaskId> order;
-  order.reserve(tasks.size());
+  order.reserve(in_degree.size());
   std::unordered_set<TaskId> seen;
-  std::queue<TaskId> frontier;
-  for (TaskId t : sorted_tasks) {
-    if (in_degree[t] == 0 && seen.insert(t).second) frontier.push(t);
-  }
-  while (!frontier.empty()) {
-    const TaskId t = frontier.front();
-    frontier.pop();
-    order.push_back(t);
-    auto it = out.find(t);
-    if (it == out.end()) continue;
-    for (TaskId next : it->second) {
-      if (seen.insert(next).second) frontier.push(next);
-    }
-  }
-  for (TaskId t : sorted_tasks) {  // cycles / isolated tasks
+  const auto visit = [&](TaskId t) {
     if (seen.insert(t).second) order.push_back(t);
+  };
+  for (const auto& [t, degree] : in_degree) {
+    if (degree == 0) visit(t);
   }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    auto it = out.find(order[i]);
+    if (it == out.end()) continue;
+    for (TaskId next : it->second) visit(next);
+  }
+  for (const auto& [t, degree] : in_degree) visit(t);  // cycles
   return order;
 }
 
@@ -73,133 +59,71 @@ std::vector<TaskId> bfs_order(
 
 ScheduleResult RStormScheduler::schedule(const SchedulerInput& in) {
   ScheduleResult result;
-  if (in.executors.empty()) return result;
-
-  // --- Index the input. ---
-  std::unordered_map<TaskId, const ExecutorSpec*> spec_of;
+  PlacementState st(in);
+  // The reference node follows traffic; before any traffic has been
+  // measured, topology edges stand in with unit weight.
+  st.link_topology_edges_if_no_traffic();
   std::map<TopologyId, std::vector<TaskId>> tasks_by_topo;
   for (const auto& e : in.executors) {
-    spec_of.emplace(e.task, &e);
     tasks_by_topo[e.topology].push_back(e.task);
   }
-  // Traffic adjacency (for the reference node); falls back to topology
-  // edges with unit weight when no traffic has been measured yet.
-  std::unordered_map<TaskId, std::vector<std::pair<TaskId, double>>> adj;
-  for (const auto& t : in.traffic) {
-    if (t.rate <= 0) continue;
-    if (!spec_of.contains(t.src) || !spec_of.contains(t.dst)) continue;
-    adj[t.src].emplace_back(t.dst, t.rate);
-    adj[t.dst].emplace_back(t.src, t.rate);
-  }
-  if (adj.empty()) {
-    for (const auto& [a, b] : in.topology_edges) {
-      if (!spec_of.contains(a) || !spec_of.contains(b)) continue;
-      adj[a].emplace_back(b, 1.0);
-      adj[b].emplace_back(a, 1.0);
-    }
-  }
-
-  // --- Slot / node state. ---
-  std::unordered_map<SlotIndex, SlotState> slots;
-  NodeId max_node = -1;
-  for (const auto& s : in.slots) {
-    slots[s.slot] = SlotState{s.node, -1, false};
-    max_node = std::max(max_node, s.node);
-  }
-  const auto occupied = occupied_slot_set(in);
-  for (SlotIndex blocked : occupied) {
-    auto it = slots.find(blocked);
-    if (it != slots.end()) it->second.blocked = true;
-  }
-  std::vector<NodeState> nodes(static_cast<std::size_t>(max_node) + 1);
-
-  const double qw = in.queue_pressure_weight;
-  std::unordered_map<TaskId, NodeId> task_node;
-
-  // The slot this topology would use on node k: its locked slot if it has
-  // one, else the lowest-index free slot there.
-  const auto eligible_slot = [&](TopologyId topo, NodeId k) -> SlotIndex {
-    const NodeState& nst = nodes[static_cast<std::size_t>(k)];
-    auto lock = nst.topo_slot.find(topo);
-    if (lock != nst.topo_slot.end()) return lock->second;
-    SlotIndex best = kUnassigned;
-    for (const auto& s : in.slots) {
-      if (s.node != k) continue;
-      const SlotState& st = slots[s.slot];
-      if (st.blocked || st.owner != -1) continue;
-      if (best == kUnassigned || s.slot < best) best = s.slot;
-    }
-    return best;
-  };
 
   for (const auto& [topo, tasks] : tasks_by_topo) {
     for (TaskId t : bfs_order(tasks, in.topology_edges)) {
-      const ExecutorSpec& e = *spec_of.at(t);
-      const ResourceVector demand = e.effective_demand(qw);
+      const ResourceVector& demand = st.task(t).demand;
 
       // Reference node: where the heaviest-traffic already-placed
       // neighbour lives (R-Storm measures network distance from there).
       NodeId ref_node = -1;
       double ref_rate = -1;
-      auto ai = adj.find(t);
-      if (ai != adj.end()) {
-        for (const auto& [peer, rate] : ai->second) {
-          auto pn = task_node.find(peer);
-          if (pn == task_node.end()) continue;
-          if (rate > ref_rate || (rate == ref_rate && pn->second < ref_node)) {
-            ref_rate = rate;
-            ref_node = pn->second;
-          }
+      for (const auto& [peer, rate] : st.task(t).links) {
+        const NodeId pn = st.task(peer).node;
+        if (pn < 0) continue;
+        if (rate > ref_rate || (rate == ref_rate && pn < ref_node)) {
+          ref_rate = rate;
+          ref_node = pn;
         }
       }
 
       // Passes: all constraints -> soft (CPU, bandwidth) relaxed -> memory
       // relaxed too. Memory is R-Storm's only hard resource constraint.
       SlotIndex best = kUnassigned;
-      NodeId best_node = -1;
-      for (int pass = 0; pass < (options_.allow_relaxation ? 3 : 1); ++pass) {
+      for (int pass = 0; pass < 3; ++pass) {
         const bool enforce_soft = pass == 0;
         const bool enforce_memory = pass <= 1;
         double best_dist = std::numeric_limits<double>::infinity();
 
-        for (NodeId k = 0; k <= max_node; ++k) {
-          const NodeState& nst = nodes[static_cast<std::size_t>(k)];
-          const SlotIndex slot = eligible_slot(topo, k);
+        for (NodeId k = 0; k <= st.max_node(); ++k) {
+          const SlotIndex slot = st.eligible_slot(topo, k);
           if (slot == kUnassigned) continue;
+          const ResourceVector& used = st.node(k).used;
           const ResourceVector cap = in.node_capacity(k);
 
           const bool mem_ok =
-              nst.used[kMemoryMib] + demand[kMemoryMib] <= cap[kMemoryMib];
+              used[kMemoryMib] + demand[kMemoryMib] <= cap[kMemoryMib];
           if (enforce_memory && !mem_ok) continue;
-          if (enforce_soft && !resource_fits(nst.used, demand, cap)) continue;
+          if (enforce_soft && !st.fits(t, k, false)) continue;
 
           // Network distance dominates (co-locate with the chatty
           // neighbour whenever the node fits); the resource terms score
-          // the node's utilization *after* placement, so among feasible
-          // nodes the one left with the most headroom wins. The original
-          // R-Storm distance is a best-fit (smallest leftover gap), which
-          // is sound for the paper's user-declared demands but crams
-          // measured, EWMA-lagged demands onto the weakest node of a
-          // heterogeneous fleet; production resource-aware schedulers
-          // order candidates by available headroom for the same reason.
-          // Terms are normalized by capacity so "almost full" means the
-          // same on a big and a small node; an unconstrained (infinite or
+          // utilization *after* placement, so the most headroom wins
+          // instead of R-Storm's best-fit (see rstorm.h). Terms are
+          // normalized by capacity so "almost full" means the same on a
+          // big and a small node; an unconstrained (infinite or
           // zero-capacity) dimension contributes nothing.
-          double dist = options_.network_distance_weight *
+          double dist = kNetworkDistanceWeight *
                         (ref_node >= 0 && k != ref_node ? 1.0 : 0.0);
           const auto fit_term = [&](std::size_t d) {
             if (!(cap[d] > 0) || std::isinf(cap[d])) return 0.0;
-            const double util = (nst.used[d] + demand[d]) / cap[d];
+            const double util = (used[d] + demand[d]) / cap[d];
             return util * util;
           };
-          dist += options_.cpu_weight * fit_term(kCpuMhz);
-          dist += options_.bandwidth_weight * fit_term(kNetworkMbps);
+          dist += kCpuWeight * fit_term(kCpuMhz);
+          dist += kBandwidthWeight * fit_term(kNetworkMbps);
 
-          if (dist < best_dist - 1e-12 ||
-              (dist < best_dist + 1e-12 && k < best_node)) {
+          if (dist < best_dist - 1e-12) {  // ties keep the lowest node id
             best_dist = dist;
             best = slot;
-            best_node = k;
           }
         }
 
@@ -211,12 +135,7 @@ ScheduleResult RStormScheduler::schedule(const SchedulerInput& in) {
 
       if (best == kUnassigned) continue;  // out of slots entirely
 
-      SlotState& st = slots[best];
-      NodeState& nst = nodes[static_cast<std::size_t>(best_node)];
-      st.owner = topo;
-      nst.topo_slot[topo] = best;
-      nst.used = resource_add(nst.used, demand);
-      task_node[t] = best_node;
+      st.place(t, best);
       result.assignment[t] = best;
     }
   }

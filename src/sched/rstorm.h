@@ -4,39 +4,25 @@
 // a hard constraint and a dominant network-distance term that pulls
 // communicating tasks onto the same node. The resource terms rank
 // feasible nodes by post-placement utilization (most headroom first)
-// rather than the paper's strict best-fit — with measured demand
-// estimates, best-fit systematically overloads the weakest node of a
-// heterogeneous fleet (see the comment at the distance computation).
+// rather than the paper's strict best-fit (smallest leftover gap): that is
+// sound for user-declared demands, but with measured, EWMA-lagged
+// estimates it systematically overloads the weakest node of a
+// heterogeneous fleet; production resource-aware schedulers order
+// candidates by available headroom for the same reason.
+// When no node satisfies the constraints, the soft constraints (CPU,
+// bandwidth) are dropped, then the memory hard constraint too, and
+// ScheduleResult::capacity_relaxed is set.
 #pragma once
 
 #include "sched/scheduler.h"
 
 namespace tstorm::sched {
 
-struct RStormOptions {
-  /// Term weights of the squared distance. Network distance dominates —
-  /// R-Storm's ordering is network proximity first, then resource fit
-  /// (the paper's theta_1 >> theta_2, theta_3).
-  double network_distance_weight = 10.0;
-  double cpu_weight = 1.0;
-  double bandwidth_weight = 1.0;
-  /// When no node satisfies the constraints, retry with soft constraints
-  /// (CPU, bandwidth) dropped, then with the memory hard constraint
-  /// dropped too, setting ScheduleResult::capacity_relaxed. When false,
-  /// infeasible tasks stay unassigned.
-  bool allow_relaxation = true;
-};
-
 class RStormScheduler final : public ISchedulingAlgorithm {
  public:
-  explicit RStormScheduler(RStormOptions options = {}) : options_(options) {}
-
   ScheduleResult schedule(const SchedulerInput& input) override;
 
   [[nodiscard]] std::string name() const override { return "rstorm"; }
-
- private:
-  RStormOptions options_;
 };
 
 }  // namespace tstorm::sched

@@ -52,7 +52,7 @@ class AlgorithmRegistry {
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  AlgorithmRegistry() = default;
+  AlgorithmRegistry();  // registers the built-ins
   std::vector<std::pair<std::string, Factory>> factories_;
 };
 

@@ -1,52 +1,21 @@
 #include "sched/traffic_aware.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <vector>
+
+#include "sched/placement_state.h"
 
 namespace tstorm::sched {
-namespace {
-
-struct NodeState {
-  /// Resources already committed on this node (CPU dim carries effective
-  /// load, i.e. includes queue pressure when enabled).
-  ResourceVector used{};
-  int count = 0;
-  /// topology -> slot locked for it on this node (constraint 1).
-  std::unordered_map<TopologyId, SlotIndex> topo_slot;
-};
-
-struct SlotState {
-  NodeId node = -1;
-  /// Topology owning this slot, or -1 if free. A slot hosts one worker, a
-  /// worker belongs to one topology.
-  TopologyId owner = -1;
-  bool blocked = false;  // occupied by a topology outside this run
-};
-
-}  // namespace
 
 ScheduleResult TrafficAwareScheduler::schedule(const SchedulerInput& in) {
-  ScheduleResult result;
-  if (in.executors.empty()) return result;
+  PlacementState state(in);
+  return traffic_aware_pass(state);
+}
 
-  // --- Build adjacency (incoming + outgoing rates per executor). ---
-  std::unordered_map<TaskId, std::vector<std::pair<TaskId, double>>> adj;
-  std::unordered_map<TaskId, double> total_traffic;
-  adj.reserve(in.executors.size());
-  for (const auto& e : in.executors) {
-    adj[e.task];
-    total_traffic[e.task] = 0;
-  }
-  for (const auto& t : in.traffic) {
-    if (t.rate <= 0) continue;
-    if (!adj.contains(t.src) || !adj.contains(t.dst)) continue;
-    adj[t.src].emplace_back(t.dst, t.rate);
-    adj[t.dst].emplace_back(t.src, t.rate);
-    total_traffic[t.src] += t.rate;
-    total_traffic[t.dst] += t.rate;
-  }
+ScheduleResult traffic_aware_pass(PlacementState& st) {
+  const SchedulerInput& in = st.input();
+  ScheduleResult result;
 
   // --- Line 2: sort executors by descending total traffic. ---
   std::vector<const ExecutorSpec*> order;
@@ -54,87 +23,41 @@ ScheduleResult TrafficAwareScheduler::schedule(const SchedulerInput& in) {
   for (const auto& e : in.executors) order.push_back(&e);
   std::sort(order.begin(), order.end(),
             [&](const ExecutorSpec* a, const ExecutorSpec* b) {
-              const double ta = total_traffic[a->task];
-              const double tb = total_traffic[b->task];
+              const double ta = st.task(a->task).total_traffic;
+              const double tb = st.task(b->task).total_traffic;
               if (ta != tb) return ta > tb;
               return a->task < b->task;  // deterministic tie-break
             });
 
-  // --- Slot / node state. ---
-  std::unordered_map<SlotIndex, SlotState> slots;
-  NodeId max_node = -1;
-  for (const auto& s : in.slots) {
-    slots[s.slot] = SlotState{s.node, -1, false};
-    max_node = std::max(max_node, s.node);
-  }
-  const auto occupied = occupied_slot_set(in);
-  for (SlotIndex blocked : occupied) {
-    auto it = slots.find(blocked);
-    if (it != slots.end()) it->second.blocked = true;
-  }
-  std::vector<NodeState> nodes(static_cast<std::size_t>(max_node) + 1);
-
-  const double ne = static_cast<double>(in.executors.size());
-  const double kk = static_cast<double>(max_node + 1);
-  const int count_limit = std::max(
-      1, static_cast<int>(std::ceil(in.gamma * ne / kk - 1e-9)));
-
-  // Assigned executors grouped by node, for incremental-traffic costs.
-  std::unordered_map<TaskId, NodeId> task_node;
-
-  // Effective capacity footprint: CPU load plus optional queue pressure
-  // (weight 0 == the paper's Algorithm 1, CPU only). The option overrides
-  // the input-level weight when set explicitly.
-  const double qw = options_.queue_pressure_weight != 0.0
-                        ? options_.queue_pressure_weight
-                        : in.queue_pressure_weight;
-
   // --- Line 3-7: greedy assignment. ---
+  std::vector<double> traffic_on_node;
   for (const ExecutorSpec* e : order) {
     // Traffic from e to executors already assigned, grouped by node.
-    std::unordered_map<NodeId, double> traffic_on_node;
-    double assigned_traffic = 0;
-    for (const auto& [peer, rate] : adj[e->task]) {
-      auto it = task_node.find(peer);
-      if (it == task_node.end()) continue;
-      traffic_on_node[it->second] += rate;
-      assigned_traffic += rate;
-    }
-    const ResourceVector demand = e->effective_demand(qw);
+    const double assigned_traffic =
+        st.traffic_by_node(e->task, traffic_on_node);
 
     // Three passes: full constraints, then count relaxed, then capacity
     // relaxed. Constraint (1) always holds.
     SlotIndex best = kUnassigned;
-    for (int pass = 0; pass < (options_.allow_relaxation ? 3 : 1); ++pass) {
+    for (int pass = 0; pass < 3; ++pass) {
       const bool enforce_count = pass == 0;
       const bool enforce_capacity = pass <= 1;
       double best_cost = std::numeric_limits<double>::infinity();
       double best_load = std::numeric_limits<double>::infinity();
       int best_count = -1;
 
-      for (const auto& s : in.slots) {
-        const SlotState& st = slots[s.slot];
-        if (st.blocked) continue;
-        const NodeId k = st.node;
-        NodeState& nst = nodes[static_cast<std::size_t>(k)];
-
-        // Constraint (1): if the topology already has a slot on this node,
-        // only that slot is eligible; and a slot owned by another topology
-        // is never eligible.
-        auto lock = nst.topo_slot.find(e->topology);
-        if (lock != nst.topo_slot.end() && lock->second != s.slot) continue;
-        if (st.owner != -1 && st.owner != e->topology) continue;
-
-        if (enforce_capacity &&
-            !resource_fits(nst.used, demand, in.node_capacity(k))) {
-          continue;
-        }
-        if (enforce_count && nst.count + 1 > count_limit) continue;
+      for (NodeId k = 0; k <= st.max_node(); ++k) {
+        // Constraint (1): only the topology's locked slot on a node, or a
+        // free one where it holds none.
+        const SlotIndex slot = st.eligible_slot(e->topology, k);
+        if (slot == kUnassigned) continue;
+        if (enforce_capacity && !st.fits(e->task, k, enforce_count)) continue;
+        const ResourceVector& used = st.node(k).used;
+        const int count = st.node(k).count;
 
         // Line 5: incremental inter-node traffic of placing e on node k.
-        double cost = assigned_traffic;
-        auto tn = traffic_on_node.find(k);
-        if (tn != traffic_on_node.end()) cost -= tn->second;
+        const double cost =
+            assigned_traffic - traffic_on_node[static_cast<std::size_t>(k)];
 
         // Tie-breaks: prefer fuller nodes (consolidation — this is what
         // lets a large gamma pack a light topology onto few nodes, Fig.
@@ -148,17 +71,18 @@ ScheduleResult TrafficAwareScheduler::schedule(const SchedulerInput& in) {
           better = true;
         } else if (cost < best_cost + 1e-12) {
           if (!enforce_capacity) {
-            better = nst.used[kCpuMhz] < best_load;
+            better = used[kCpuMhz] < best_load ||
+                     (used[kCpuMhz] == best_load && slot < best);
           } else {
-            better = nst.count > best_count ||
-                     (nst.count == best_count && s.slot < best);
+            better = count > best_count ||
+                     (count == best_count && slot < best);
           }
         }
         if (better) {
-          best = s.slot;
+          best = slot;
           best_cost = cost;
-          best_load = nst.used[kCpuMhz];
-          best_count = nst.count;
+          best_load = used[kCpuMhz];
+          best_count = count;
         }
       }
 
@@ -176,13 +100,7 @@ ScheduleResult TrafficAwareScheduler::schedule(const SchedulerInput& in) {
     }
 
     // Line 6: commit x_{i j*} = 1.
-    SlotState& st = slots[best];
-    NodeState& nst = nodes[static_cast<std::size_t>(st.node)];
-    st.owner = e->topology;
-    nst.topo_slot[e->topology] = best;
-    nst.used = resource_add(nst.used, demand);
-    nst.count += 1;
-    task_node[e->task] = st.node;
+    st.place(e->task, best);
     result.assignment[e->task] = best;
   }
 

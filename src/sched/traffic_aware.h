@@ -8,6 +8,9 @@
 //   (2) node workload stays within capacity C_k;
 //   (3) at most ceil(gamma * Ne / K) executors per node (consolidation
 //       factor gamma: 1 = spread evenly, larger = pack onto fewer nodes).
+// When no slot satisfies all three, the count constraint is relaxed first,
+// then capacity; constraint (1) is never relaxed. Queue pressure enters
+// through SchedulerInput::queue_pressure_weight, as for every scheduler.
 // Complexity O(Ne log Ne + Ne * Ns), as claimed in section IV-C.
 #pragma once
 
@@ -15,30 +18,18 @@
 
 namespace tstorm::sched {
 
-struct TrafficAwareOptions {
-  /// When no slot satisfies all constraints, relax the count constraint
-  /// first, then capacity. The structural constraint (1) is never relaxed.
-  bool allow_relaxation = true;
-
-  /// MHz of effective load attributed per queued envelope: an executor's
-  /// capacity footprint becomes load_mhz + weight * queue_depth, steering
-  /// the greedy pass away from packing backlogged executors onto
-  /// near-capacity nodes. 0 (default) reproduces the paper's Algorithm 1
-  /// exactly — CPU load only.
-  double queue_pressure_weight = 0.0;
-};
+class PlacementState;
 
 class TrafficAwareScheduler final : public ISchedulingAlgorithm {
  public:
-  explicit TrafficAwareScheduler(TrafficAwareOptions options = {})
-      : options_(options) {}
-
   ScheduleResult schedule(const SchedulerInput& input) override;
 
   [[nodiscard]] std::string name() const override { return "traffic-aware"; }
-
- private:
-  TrafficAwareOptions options_;
 };
+
+/// Algorithm 1 on a fresh `state`: places every executor it can (relaxing
+/// the count constraint, then capacity, when no slot satisfies all three)
+/// and leaves the placement in `state`, where local search continues.
+ScheduleResult traffic_aware_pass(PlacementState& state);
 
 }  // namespace tstorm::sched

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <set>
 #include <unordered_set>
 
 namespace tstorm::sched {
@@ -14,6 +13,25 @@ std::unordered_map<SlotIndex, NodeId> slot_to_node(const SchedulerInput& in) {
   m.reserve(in.slots.size());
   for (const auto& s : in.slots) m.emplace(s.slot, s.node);
   return m;
+}
+
+/// Sum of the traffic between placed executors whose (slot, node) pairs
+/// satisfy `counts`.
+template <typename Pred>
+double placed_traffic(const SchedulerInput& in, const Placement& p,
+                      Pred counts) {
+  const auto s2n = slot_to_node(in);
+  double total = 0;
+  for (const auto& t : in.traffic) {
+    auto a = p.find(t.src);
+    auto b = p.find(t.dst);
+    if (a == p.end() || b == p.end()) continue;
+    auto na = s2n.find(a->second);
+    auto nb = s2n.find(b->second);
+    if (na == s2n.end() || nb == s2n.end()) continue;
+    if (counts(a->second, na->second, b->second, nb->second)) total += t.rate;
+  }
+  return total;
 }
 
 }  // namespace
@@ -53,6 +71,13 @@ std::unordered_set<SlotIndex> occupied_slot_set(const SchedulerInput& in) {
   return {in.occupied_slots.begin(), in.occupied_slots.end()};
 }
 
+int requested_workers(const SchedulerInput& in, TopologyId topo) {
+  for (const auto& t : in.topologies) {
+    if (t.id == topo) return t.requested_workers;
+  }
+  return 1;
+}
+
 void audit_capacity(const SchedulerInput& in, ScheduleResult& result) {
   if (in.nodes.empty()) return;
   const auto s2n = slot_to_node(in);
@@ -75,34 +100,16 @@ void audit_capacity(const SchedulerInput& in, ScheduleResult& result) {
 }
 
 double internode_traffic(const SchedulerInput& in, const Placement& p) {
-  const auto s2n = slot_to_node(in);
-  double total = 0;
-  for (const auto& t : in.traffic) {
-    auto a = p.find(t.src);
-    auto b = p.find(t.dst);
-    if (a == p.end() || b == p.end()) continue;
-    auto na = s2n.find(a->second);
-    auto nb = s2n.find(b->second);
-    if (na == s2n.end() || nb == s2n.end()) continue;
-    if (na->second != nb->second) total += t.rate;
-  }
-  return total;
+  return placed_traffic(in, p, [](SlotIndex, NodeId na, SlotIndex, NodeId nb) {
+    return na != nb;
+  });
 }
 
 double interprocess_traffic(const SchedulerInput& in, const Placement& p) {
-  const auto s2n = slot_to_node(in);
-  double total = 0;
-  for (const auto& t : in.traffic) {
-    auto a = p.find(t.src);
-    auto b = p.find(t.dst);
-    if (a == p.end() || b == p.end()) continue;
-    if (a->second == b->second) continue;
-    auto na = s2n.find(a->second);
-    auto nb = s2n.find(b->second);
-    if (na == s2n.end() || nb == s2n.end()) continue;
-    if (na->second == nb->second) total += t.rate;
-  }
-  return total;
+  return placed_traffic(
+      in, p, [](SlotIndex sa, NodeId na, SlotIndex sb, NodeId nb) {
+        return sa != sb && na == nb;
+      });
 }
 
 int nodes_used(const SchedulerInput& in, const Placement& p) {
@@ -127,7 +134,6 @@ bool one_slot_per_topology_per_node(const SchedulerInput& in,
   std::unordered_map<TaskId, TopologyId> topo_of;
   for (const auto& e : in.executors) topo_of.emplace(e.task, e.topology);
   // (topology, node) -> slot used there; any second distinct slot fails.
-  std::set<std::pair<TopologyId, NodeId>> seen_key;
   std::unordered_map<long long, SlotIndex> used;
   for (const auto& [task, slot] : p) {
     auto ti = topo_of.find(task);

@@ -183,9 +183,13 @@ struct ScheduleResult {
   bool capacity_relaxed = false;
 };
 
-/// The occupied_slots list as a set (every algorithm needs this lookup).
+/// The occupied_slots list as a set.
 [[nodiscard]] std::unordered_set<SlotIndex> occupied_slot_set(
     const SchedulerInput& in);
+
+/// Workers the user requested for `topo` (Nu); 1 when the topology is not
+/// listed.
+[[nodiscard]] int requested_workers(const SchedulerInput& in, TopologyId topo);
 
 /// Post-hoc capacity audit for capacity-blind algorithms: sums each node's
 /// effective demand and sets result.capacity_relaxed when any dimension

@@ -361,15 +361,13 @@ TEST(QueuePressure, TrafficAwareWeightInflatesEffectiveLoad) {
   in.topologies.push_back({0, 1});
   in.nodes = {{0, {100.0}}};
 
-  sched::TrafficAwareScheduler plain;
-  const auto base = plain.schedule(in);
+  sched::TrafficAwareScheduler alg;
+  const auto base = alg.schedule(in);
   ASSERT_EQ(base.assignment.size(), 1u);
   EXPECT_FALSE(base.capacity_relaxed);
 
-  sched::TrafficAwareOptions opt;
-  opt.queue_pressure_weight = 1.0;  // effective load 50 + 100 > 100
-  sched::TrafficAwareScheduler weighted(opt);
-  const auto pressured = weighted.schedule(in);
+  in.queue_pressure_weight = 1.0;  // effective load 50 + 100 > 100
+  const auto pressured = alg.schedule(in);
   ASSERT_EQ(pressured.assignment.size(), 1u);
   EXPECT_TRUE(pressured.capacity_relaxed);
 }

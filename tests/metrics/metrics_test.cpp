@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -13,24 +10,7 @@
 #include "metrics/reporter.h"
 #include "metrics/timeseries.h"
 #include "sim/rng.h"
-
-// Counts heap allocations in this test binary, for the bounded-storage
-// check below.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-// Out of line, so GCC does not inline free() into call sites where it can
-// see the pointer came from operator new (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "support/alloc_count.h"
 
 namespace tstorm::metrics {
 namespace {
@@ -188,9 +168,9 @@ TEST(WindowedSeries, ReservedStorageIsBoundedByHorizon) {
   constexpr int kAdds = 1'000'000;
   WindowedSeries s(60.0);
   s.reserve(kHorizon);
-  const auto before = g_allocs.load(std::memory_order_relaxed);
+  const auto before = heap_allocations();
   for (int i = 0; i <= kAdds; ++i) s.add(kHorizon * i / kAdds, 1.0);
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(heap_allocations() - before, 0u);
   EXPECT_EQ(s.total_count(), static_cast<std::uint64_t>(kAdds) + 1);
   EXPECT_DOUBLE_EQ(s.mean_between(0, kHorizon + 1).value(), 1.0);
 }

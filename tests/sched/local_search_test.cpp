@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <unordered_map>
+#include <vector>
 
 #include "sched/local_search.h"
 #include "sched/traffic_aware.h"
@@ -90,6 +92,30 @@ TEST(LocalSearch, RespectsCountAndCapacityConstraints) {
     load[slot / 4] += 40.0;
   }
   for (const auto& [n, l] : load) EXPECT_LE(l, 100.0 + 1e-9);
+}
+
+TEST(LocalSearch, CountLimitCountsFailedNodesLikeAlgorithm1) {
+  // Five nodes, node 2 failed (zero capacity, no slots), 8 executors and
+  // gamma 1.25: Algorithm 1's limit is ceil(1.25 * 8 / 5) = 2 executors
+  // per node. Every executor talks to executor 0, so each move onto its
+  // node gains traffic; without a relaxation flag no node may take a
+  // third executor. Counting only the four live nodes would give a limit
+  // of 3 and let local search pull a third executor next to the hub.
+  auto in = make_input(5, 2, 1e6);
+  in.nodes[2].capacity = {};
+  std::erase_if(in.slots, [](const SlotSpec& s) { return s.node == 2; });
+  add_executors(in, 0, 8);
+  in.gamma = 1.25;
+  for (TaskId t = 1; t < 8; ++t) in.traffic.push_back({0, t, 10.0});
+
+  const auto r = LocalSearchScheduler().schedule(in);
+  ASSERT_EQ(r.assignment.size(), 8u);
+  EXPECT_FALSE(r.count_relaxed);
+  std::unordered_map<NodeId, int> per_node;
+  for (const auto& [task, slot] : r.assignment) ++per_node[slot / 2];
+  for (const auto& [node, count] : per_node) {
+    EXPECT_LE(count, 2) << "node " << node;
+  }
 }
 
 TEST(LocalSearch, RegisteredInRegistry) {

@@ -6,11 +6,8 @@
 // with small capacities to force wraps and shifts constantly.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
-#include <new>
 #include <random>
 #include <set>
 #include <unordered_map>
@@ -19,35 +16,7 @@
 
 #include "sim/flat_map.h"
 #include "sim/ring_deque.h"
-
-// Counts heap allocations in this test binary, for the reserve checks
-// below.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-// Library code (std::stable_sort's buffer) may allocate through the
-// nothrow form and free through the sized delete; all use malloc/free.
-[[gnu::noinline]] void* operator new(std::size_t n,
-                                     const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
-}
-// All out of line, so GCC does not pair an inlined malloc() or free() with
-// the other side's operator (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "support/alloc_count.h"
 
 namespace tstorm::sim {
 namespace {
@@ -188,9 +157,9 @@ TEST(FlatMap, ReserveAvoidsGrowth) {
     }
     FlatMap<std::uint64_t, Unit, 0> set;
     set.reserve(n);
-    const auto before = g_allocs.load(std::memory_order_relaxed);
+    const auto before = heap_allocations();
     for (const std::uint64_t k : keys) set.get_or_insert(k);
-    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+    EXPECT_EQ(heap_allocations() - before, 0u)
         << "n " << n;
     EXPECT_EQ(set.size(), oracle.size());
     std::set<std::uint64_t> got;
@@ -203,12 +172,12 @@ TEST(FlatMap, ReserveAvoidsGrowth) {
 TEST(FlatMap, ReserveIsOneAllocationAndKeepsEntries) {
   FlatMap<int, int, -1> m;
   for (int k = 0; k < 100; ++k) m[k] = k * 3;
-  const auto before = g_allocs.load(std::memory_order_relaxed);
+  const auto before = heap_allocations();
   m.reserve(5000);
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 1u);
+  EXPECT_EQ(heap_allocations() - before, 1u);
   m.reserve(10);  // never shrinks, never reallocates
   for (int k = 100; k < 5000; ++k) m[k] = k * 3;
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 1u);
+  EXPECT_EQ(heap_allocations() - before, 1u);
   ASSERT_EQ(m.size(), 5000u);
   for (int k = 0; k < 5000; ++k) {
     const int* v = m.find(k);

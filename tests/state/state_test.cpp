@@ -7,12 +7,9 @@
 // with checkpointing enabled.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 #include <random>
 #include <set>
 #include <sstream>
@@ -34,34 +31,7 @@
 #include "workload/bolts.h"
 #include "workload/external_queue.h"
 #include "workload/topologies.h"
-
-// Counts heap allocations in this test binary, for the snapshot-cost
-// check below.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-// std::stable_sort's temporary buffer allocates through the nothrow form
-// and frees through the sized delete below; both must use malloc/free.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
-}
-// Out of line, so GCC does not inline free() into call sites where it can
-// see the pointer came from operator new (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "support/alloc_count.h"
 
 namespace tstorm::state {
 namespace {
@@ -358,9 +328,9 @@ TEST(StateStore, SnapshotAllocationsIndependentOfDedupSize) {
       s.dedup_insert(p, static_cast<double>(p / 1000));
       if (p % 1000 == 0) s.sweep_dedup(0.0);  // seals a chunk
     }
-    const auto before = g_allocs.load(std::memory_order_relaxed);
+    const auto before = heap_allocations();
     const Snapshot snap = s.snapshot();
-    const auto allocs = g_allocs.load(std::memory_order_relaxed) - before;
+    const auto allocs = heap_allocations() - before;
     EXPECT_EQ(snap.dedup.size(), paths);
     return allocs;
   };

@@ -2,12 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <map>
-#include <new>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -17,35 +14,7 @@
 
 #include "core/system.h"
 #include "workload/topologies.h"
-
-// Counts heap allocations in this test binary, for the set-up cost checks
-// below.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-// Library code (std::stable_sort's buffer) may allocate through the
-// nothrow form and free through the sized delete; all use malloc/free.
-[[gnu::noinline]] void* operator new(std::size_t n,
-                                     const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
-}
-// All out of line, so GCC does not pair an inlined malloc() or free() with
-// the other side's operator (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "support/alloc_count.h"
 
 namespace tstorm::workload {
 namespace {
@@ -143,9 +112,9 @@ TEST(TextGenerator, ConstructionAllocationsIndependentOfVocabulary) {
   for (const std::size_t n : {3000u, 30000u}) {
     TextGenerator::Options opt;
     opt.vocabulary = n;
-    const auto before = g_allocs.load(std::memory_order_relaxed);
+    const auto before = heap_allocations();
     const TextGenerator gen(opt);
-    const auto allocs = g_allocs.load(std::memory_order_relaxed) - before;
+    const auto allocs = heap_allocations() - before;
     EXPECT_LE(allocs, 4u) << "vocabulary " << n;
     EXPECT_EQ(gen.vocabulary().size(), n);
   }
