@@ -68,8 +68,8 @@ ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
         if (na == nb) continue;
         // Direct traffic between the pair stays inter-node either way.
         double r_ef = 0;
-        for (const auto& [peer, rate] : st.task(e.task).links) {
-          if (peer == f.task) r_ef += rate;
+        for (const auto& link : st.task(e.task).links) {
+          if (link.peer == f.task) r_ef += link.rate;
         }
         const double gain = st.traffic_to(e.task, nb) +
                             st.traffic_to(f.task, na) -

@@ -7,9 +7,10 @@ namespace tstorm::sched {
 
 PlacementState::PlacementState(const SchedulerInput& in) : in_(in) {
   tasks_.reserve(in.executors.size());
-  for (const auto& e : in.executors) {
+  for (std::size_t i = 0; i < in.executors.size(); ++i) {
+    const ExecutorSpec& e = in.executors[i];
     const ResourceVector demand = e.effective_demand(in.queue_pressure_weight);
-    tasks_.try_emplace(e.task, Task{e.topology, demand, {}});
+    tasks_.try_emplace(e.task, Task{e.topology, i, demand, {}});
   }
   for (const auto& t : in.traffic) {
     if (t.rate > 0) link(t.src, t.dst, t.rate);
@@ -26,9 +27,12 @@ PlacementState::PlacementState(const SchedulerInput& in) : in_(in) {
     slots_.push_back({s.slot, s.node, occupied.contains(s.slot)});
   }
 
-  if (max_node >= 0) {
+  const auto live = std::count_if(nodes_.begin(), nodes_.end(), [](auto& n) {
+    return !n.slots.empty();
+  });
+  if (live > 0) {
     const double ne = static_cast<double>(in.executors.size());
-    const double kk = static_cast<double>(max_node + 1);
+    const double kk = static_cast<double>(live);
     count_limit_ = std::max(
         1, static_cast<int>(std::ceil(in.gamma * ne / kk - 1e-9)));
   }
@@ -38,9 +42,9 @@ void PlacementState::link(TaskId a, TaskId b, double rate) {
   auto ta = tasks_.find(a);
   auto tb = tasks_.find(b);
   if (ta == tasks_.end() || tb == tasks_.end()) return;
-  ta->second.links.push_back({b, rate});
+  ta->second.links.push_back({b, rate, &tb->second});
   ta->second.total_traffic += rate;
-  tb->second.links.push_back({a, rate});
+  tb->second.links.push_back({a, rate, &ta->second});
   tb->second.total_traffic += rate;
 }
 
@@ -58,8 +62,8 @@ void PlacementState::link_topology_edges_if_no_traffic() {
 
 double PlacementState::traffic_to(TaskId t, NodeId node) const {
   double total = 0;
-  for (const auto& [peer, rate] : task(t).links) {
-    if (peer != t && task(peer).node == node) total += rate;
+  for (const auto& [peer, rate, peer_task] : task(t).links) {
+    if (peer != t && peer_task->node == node) total += rate;
   }
   return total;
 }
@@ -68,8 +72,8 @@ double PlacementState::traffic_by_node(TaskId t,
                                        std::vector<double>& per_node) const {
   per_node.assign(nodes_.size(), 0.0);
   double total = 0;
-  for (const auto& [peer, rate] : task(t).links) {
-    const NodeId node = task(peer).node;
+  for (const auto& [peer, rate, peer_task] : task(t).links) {
+    const NodeId node = peer_task->node;
     if (peer == t || node < 0) continue;
     per_node[static_cast<std::size_t>(node)] += rate;
     total += rate;

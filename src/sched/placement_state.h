@@ -18,16 +18,20 @@ namespace tstorm::sched {
 
 class PlacementState {
  public:
-  /// A neighbour of an executor and the traffic rate to it.
+  struct Task;
+  /// A neighbour of an executor, the traffic rate to it, and its state.
   struct Link {
     TaskId peer = -1;
     double rate = 0;
+    const Task* task = nullptr;
   };
-  /// Per executor: effective demand at the input's queue-pressure weight,
-  /// links (one per positive-rate traffic entry between two executors, in
-  /// traffic-list order), their summed rate, and its slot once placed.
+  /// Per executor: its position in the input's executor list, effective
+  /// demand at the input's queue-pressure weight, links (one per
+  /// positive-rate traffic entry between two executors, in traffic-list
+  /// order), their summed rate, and its slot once placed.
   struct Task {
     TopologyId topology = -1;
+    std::size_t index = 0;
     ResourceVector demand{};
     std::vector<Link> links;
     double total_traffic = 0;
@@ -45,6 +49,9 @@ class PlacementState {
 
   /// Keeps a reference to `in`, which must outlive the state.
   explicit PlacementState(const SchedulerInput& in);
+  /// Links point into this state's own tasks, so it is never copied.
+  PlacementState(const PlacementState&) = delete;
+  PlacementState& operator=(const PlacementState&) = delete;
 
   [[nodiscard]] const SchedulerInput& input() const { return in_; }
   [[nodiscard]] const Task& task(TaskId t) const { return tasks_.at(t); }
@@ -55,8 +62,8 @@ class PlacementState {
   [[nodiscard]] NodeId max_node() const {
     return static_cast<NodeId>(nodes_.size()) - 1;
   }
-  /// ceil(gamma * Ne / K), at least 1, with K = max_node() + 1, so a failed
-  /// node below the highest id still counts (see docs/MODEL.md).
+  /// ceil(gamma * Ne / K), at least 1, with K the number of nodes bearing
+  /// a slot: a failed node (no slots) does not count.
   [[nodiscard]] int count_limit() const { return count_limit_; }
 
   /// True when `t` fits node `k`'s remaining capacity and, with

@@ -76,11 +76,11 @@ ScheduleResult RStormScheduler::schedule(const SchedulerInput& in) {
       // neighbour lives (R-Storm measures network distance from there).
       NodeId ref_node = -1;
       double ref_rate = -1;
-      for (const auto& [peer, rate] : st.task(t).links) {
-        const NodeId pn = st.task(peer).node;
+      for (const auto& link : st.task(t).links) {
+        const NodeId pn = link.task->node;
         if (pn < 0) continue;
-        if (rate > ref_rate || (rate == ref_rate && pn < ref_node)) {
-          ref_rate = rate;
+        if (link.rate > ref_rate || (link.rate == ref_rate && pn < ref_node)) {
+          ref_rate = link.rate;
           ref_node = pn;
         }
       }

@@ -1,7 +1,10 @@
 // Algorithm 1 from the paper: traffic-aware online scheduling.
 //
-// Sorts executors by descending total (incoming + outgoing) traffic, then
-// greedily assigns each to the feasible slot with minimum incremental
+// Places executors in connected traffic order: next is the unplaced one
+// with the most traffic to executors already placed; ties, and the first
+// executor of each connected component, follow the paper's line 2 order
+// (descending total incoming + outgoing traffic, then task id). Each is
+// greedily assigned to the feasible slot with minimum incremental
 // inter-node traffic, subject to three per-node constraints:
 //   (1) executors of one topology occupy at most one slot per node
 //       (eliminates inter-process traffic within a topology);
@@ -11,7 +14,8 @@
 // When no slot satisfies all three, the count constraint is relaxed first,
 // then capacity; constraint (1) is never relaxed. Queue pressure enters
 // through SchedulerInput::queue_pressure_weight, as for every scheduler.
-// Complexity O(Ne log Ne + Ne * Ns), as claimed in section IV-C.
+// Complexity O(Ne log Ne + E log Ne + Ne * Ns) for E traffic entries; the
+// paper's section IV-C claims O(Ne log Ne + Ne * Ns) for its static order.
 #pragma once
 
 #include "sched/scheduler.h"

@@ -137,12 +137,12 @@ std::uint64_t algorithm_digest(const std::string& name) {
 }
 
 const std::map<std::string, std::uint64_t> kGolden = {
-    {"traffic-aware", 0x3529f0f3e71b61b5ULL},
+    {"traffic-aware", 0xc38aff66d8edcd2cULL},
     {"round-robin", 0x81c2b31c06f33ba2ULL},
     {"tstorm-initial", 0x598636df1d72a2f0ULL},
     {"aniello-offline", 0xabb38e394183ce13ULL},
     {"aniello-online", 0x8b0370efd4d5c4c9ULL},
-    {"local-search", 0x591ef2ba29e1bcaaULL},
+    {"local-search", 0x2fd82ff1e80415afULL},
     {"rstorm", 0xaf6f2f339a7dff7dULL},
 };
 

@@ -67,23 +67,56 @@ TEST(TrafficAware, ChattyPairColocated) {
 
 TEST(TrafficAware, ChainPartitioningIsGreedy) {
   // Two independent chains a0-a1-a2 and b0-b1-b2 with room for 3 per node.
-  // The optimum is zero inter-node traffic; the paper's greedy (like ours)
-  // seeds both chain heads onto the same node before their neighbours are
-  // placed, so it pays for some edges — but never more than it keeps.
+  // Executors 1 and 4 lead the static order; the connected order then
+  // places each chain head's neighbours before the other chain, so each
+  // chain fills one node and no traffic crosses nodes.
   auto in = make_input(2, 4, 1e9);
   add_executors(in, 0, 6);
   in.gamma = 1.0;  // ceil(6/2)=3 per node
-  double total = 0;
   for (auto [s, d] : {std::pair{0, 1}, {1, 2}, {3, 4}, {4, 5}}) {
     in.traffic.push_back({s, d, 100.0});
-    total += 100.0;
   }
   TrafficAwareScheduler alg;
   const auto r = alg.schedule(in);
   EXPECT_EQ(r.assignment.size(), 6u);
   EXPECT_EQ(nodes_used(in, r.assignment), 2);
-  EXPECT_LT(internode_traffic(in, r.assignment), total);
+  EXPECT_DOUBLE_EQ(internode_traffic(in, r.assignment), 0.0);
   EXPECT_TRUE(one_slot_per_topology_per_node(in, r.assignment));
+}
+
+TEST(TrafficAware, InterleavedTopologiesKeepOneWorkerEach) {
+  // Two 4-executor chains whose total-traffic ranks interleave (a1 a2 b1
+  // b2 a0 a3 b0 b3) on two nodes of 4. Placing in that static order would
+  // give both topologies a worker on both nodes and cut 400 tuples/s; the
+  // connected order finishes one chain before starting the other.
+  auto in = make_input(2, 4, 1e9);
+  add_executors(in, 0, 4);
+  add_executors(in, 1, 4);
+  in.gamma = 1.0;  // ceil(8/2)=4 per node
+  for (TaskId t = 0; t < 3; ++t) {
+    in.traffic.push_back({t, t + 1, 100.0});
+    in.traffic.push_back({t + 4, t + 5, 90.0});
+  }
+  TrafficAwareScheduler alg;
+  const auto r = alg.schedule(in);
+  EXPECT_EQ(r.assignment.size(), 8u);
+  EXPECT_EQ(slots_used(r.assignment), 2);
+  EXPECT_DOUBLE_EQ(internode_traffic(in, r.assignment), 0.0);
+}
+
+TEST(TrafficAware, WithoutTrafficPlacesInStaticOrder) {
+  // No traffic: every key is 0, so executors are placed in line 2's order
+  // (task id on equal total traffic), not in input order. Limit
+  // ceil(5/3) = 2 per node; each goes to the fullest node with room.
+  auto in = make_input(3, 2, 1e9);
+  in.executors = {{4, 0, {10}}, {3, 1, {10}}, {2, 1, {10}},
+                  {1, 0, {10}}, {0, 0, {10}}};
+  in.topologies = {{0, 3}, {1, 2}};
+  TrafficAwareScheduler alg;
+  const auto r = alg.schedule(in);
+  const Placement want = {{0, 0}, {1, 0}, {2, 2}, {3, 2}, {4, 4}};
+  EXPECT_EQ(r.assignment, want);
+  EXPECT_FALSE(r.count_relaxed);
 }
 
 TEST(TrafficAware, OneSlotPerTopologyPerNodeInvariant) {
