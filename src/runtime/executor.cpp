@@ -381,8 +381,8 @@ void BoltExecutor::on_checkpoint_committed(std::uint64_t ckpt) {
   // release the covered prefix.
   while (!deferred_.empty() && deferred_[0].ckpt != 0 &&
          deferred_[0].ckpt <= ckpt) {
-    DeferredAck d = deferred_.pop_front();
-    send_to(d.ack.dst, std::move(d.ack));
+    const DeferredAck d = deferred_.pop_front();
+    send_ack(cluster_.acker_tasks(info().topology), d.root_id, d.xor_val);
   }
 }
 
@@ -503,21 +503,26 @@ void BoltExecutor::ack_input(const Envelope& env, std::uint64_t emitted_xor) {
   if (env.root_id == 0) return;  // unanchored
   const auto& ackers = cluster_.acker_tasks(info().topology);
   if (ackers.empty()) return;
-  Envelope ack;
-  ack.kind = MsgKind::kAck;
-  ack.root_id = env.root_id;
-  ack.xor_val = env.xor_val ^ emitted_xor;
-  const auto target = ackers[env.root_id % ackers.size()];
-  ack.dst = target;
+  const std::uint64_t xor_val = env.xor_val ^ emitted_xor;
   // Checkpoint-gated acks at stateful bolts: completing a tree whose
   // update exists only in memory would let a crash lose an "acked" update.
   // The ack leaves when the covering round is durably complete. Duplicates
   // defer too — the dedup entry that suppressed them is just as volatile.
   if (state_mode_ && store_ != nullptr) {
-    deferred_.push_back({std::move(ack), 0});
+    deferred_.push_back({env.root_id, xor_val, 0});
     return;
   }
-  send_to(target, std::move(ack));
+  send_ack(ackers, env.root_id, xor_val);
+}
+
+void BoltExecutor::send_ack(const std::vector<sched::TaskId>& ackers,
+                            std::uint64_t root_id, std::uint64_t xor_val) {
+  Envelope ack;
+  ack.kind = MsgKind::kAck;
+  ack.root_id = root_id;
+  ack.xor_val = xor_val;
+  ack.dst = ackers[root_id % ackers.size()];
+  send_to(ack.dst, std::move(ack));
 }
 
 void BoltExecutor::on_barrier(const Envelope& env) {

@@ -221,6 +221,9 @@ class BoltExecutor final : public Executor, private topo::BoltContext {
   }
 
   void ack_input(const Envelope& env, std::uint64_t emitted_xor);
+  /// Sends a kAck to the root's acker, ackers[root_id % ackers.size()].
+  void send_ack(const std::vector<sched::TaskId>& ackers,
+                std::uint64_t root_id, std::uint64_t xor_val);
   void schedule_tick();
   void on_shutdown() override;
 
@@ -261,9 +264,11 @@ class BoltExecutor final : public Executor, private topo::BoltContext {
   /// round completes or aborts (their service time was already paid).
   sim::RingDeque<Envelope> held_;
   /// Acks awaiting durability: tagged with their covering round at
-  /// alignment, released by on_checkpoint_committed.
+  /// alignment, released by on_checkpoint_committed. Only the ack's
+  /// payload is kept; its envelope is built at release.
   struct DeferredAck {
-    Envelope ack;
+    std::uint64_t root_id = 0;
+    std::uint64_t xor_val = 0;
     std::uint64_t ckpt = 0;  // 0 = not yet covered by a round
   };
   sim::RingDeque<DeferredAck> deferred_;

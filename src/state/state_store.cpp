@@ -1,5 +1,7 @@
 #include "state/state_store.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <memory>
@@ -99,32 +101,125 @@ std::int64_t StateStore::increment(const topo::Value& key, std::int64_t by) {
   return next;
 }
 
+namespace {
+
+/// Index tag of a path hash: its top byte, with 0 (the empty-slot mark)
+/// folded into 1.
+[[nodiscard]] std::uint8_t tag_of(std::uint64_t h) {
+  const auto tag = static_cast<std::uint8_t>(h >> 56);
+  return tag != 0 ? tag : 1;
+}
+
+}  // namespace
+
+const DedupLog::Record& StateStore::record(std::uint32_t seq) const {
+  // Unsigned offsets: a sequence number before the open base wraps to a
+  // large offset.
+  if (seq - open_.base < open_.size()) return open_[seq - open_.base];
+  // The last sealed chunk whose base is at or before `seq`, with bases
+  // compared as offsets from the oldest chunk's.
+  const auto& chunks = log_.chunks_;
+  assert(!chunks.empty());
+  const std::uint32_t oldest = chunks.front()->base;
+  const auto after = std::upper_bound(
+      chunks.begin() + 1, chunks.end(), seq - oldest,
+      [oldest](std::uint32_t offset, const auto& c) {
+        return offset < c->base - oldest;
+      });
+  const DedupLog::Chunk& c = **(after - 1);
+  assert(seq - c.base < c.size());
+  return c[seq - c.base];
+}
+
+std::size_t StateStore::find_slot(std::uint64_t path, std::uint64_t h) const {
+  const std::size_t mask = tags_.size() - 1;
+  const std::uint8_t tag = tag_of(h);
+  for (std::size_t i = static_cast<std::size_t>(h) & mask;;
+       i = (i + 1) & mask) {
+    if (tags_[i] == 0 ||
+        (tags_[i] == tag && record(seqs_[i]).path == path)) {
+      return i;
+    }
+  }
+}
+
+void StateStore::index_record(std::uint64_t path, std::uint32_t seq) {
+  const std::uint64_t h = mix64(path);
+  const std::size_t i = find_slot(path, h);
+  if (tags_[i] == 0) {
+    tags_[i] = tag_of(h);
+    ++log_.live_;
+  }
+  seqs_[i] = seq;
+}
+
+void StateStore::rehash(std::size_t capacity) {
+  // The log holds every live path, so the old table is released before
+  // the new one is allocated (move-assigning an empty vector frees).
+  tags_ = std::vector<std::uint8_t>();
+  seqs_ = std::vector<std::uint32_t>();
+  tags_.resize(capacity);
+  seqs_.resize(capacity);
+  log_.live_ = 0;
+  // Oldest first, so each path's slot ends at its latest record.
+  for (std::size_t c = 0; c < log_.chunks_.size(); ++c) {
+    const DedupLog::Chunk& chunk = *log_.chunks_[c];
+    for (std::size_t i = c == 0 ? log_.front_ : 0; i < chunk.size(); ++i) {
+      index_record(chunk[i].path, chunk.base + static_cast<std::uint32_t>(i));
+    }
+  }
+  for (std::size_t i = 0; i < open_.size(); ++i) {
+    index_record(open_[i].path, open_.base + static_cast<std::uint32_t>(i));
+  }
+}
+
 bool StateStore::dedup_insert(std::uint64_t path, double now) {
-  assert((open_.empty() || now >= open_.back().t) &&
+  assert((open_.records.empty() || now >= open_.records.back().t) &&
          "dedup_insert: now must be non-decreasing");
-  bool inserted = false;
-  index_.get_or_insert(path, &inserted);
-  // Refresh on duplicate: the tree is still being replayed.
-  if (!inserted) refreshed_[path] = now;
-  open_.push_back({path, now});
-  return inserted;
+  // The growth policy of sim::FlatMap: at most 3/4 full.
+  if (tags_.empty() || (log_.live_ + 1) * 4 > tags_.size() * 3) {
+    rehash(tags_.empty() ? 16 : tags_.size() * 2);
+  }
+  const std::size_t live = log_.live_;
+  // A duplicate moves its path's slot to the new record: the tree is
+  // still being replayed.
+  index_record(path, open_.base + static_cast<std::uint32_t>(open_.size()));
+  open_.records.push_back({path, now});
+  return log_.live_ != live;
 }
 
 void StateStore::seal() {
-  if (open_.empty()) return;
+  if (open_.records.empty()) return;
   // An exact-size copy, so open_ keeps its capacity for the next chunk.
-  log_.chunks_.push_back(
-      std::make_shared<const DedupLog::Chunk>(open_.begin(), open_.end()));
-  open_.clear();
+  log_.chunks_.push_back(std::make_shared<const DedupLog::Chunk>(
+      DedupLog::Chunk{open_.base, {open_.records.begin(),
+                                   open_.records.end()}}));
+  open_.base += static_cast<std::uint32_t>(open_.size());
+  open_.records.clear();
 }
 
-void StateStore::forget(const DedupLog::Record& r) {
-  if (const double* latest = refreshed_.find(r.path)) {
-    if (*latest > r.t) return;  // a later record keeps the path alive
-    refreshed_.erase(r.path);
+void StateStore::forget(std::uint64_t path, std::uint32_t seq) {
+  const std::size_t i = find_slot(path, mix64(path));
+  assert(tags_[i] != 0 && "a live record's path is indexed");
+  // Otherwise a later record of the path keeps it alive.
+  if (seqs_[i] == seq) erase_slot(i);
+}
+
+void StateStore::erase_slot(std::size_t i) {
+  const std::size_t mask = tags_.size() - 1;
+  std::size_t hole = i;
+  for (std::size_t j = (i + 1) & mask; tags_[j] != 0; j = (j + 1) & mask) {
+    const std::size_t home =
+        static_cast<std::size_t>(mix64(record(seqs_[j]).path)) & mask;
+    // Move j into the hole iff the hole lies cyclically in [home, j).
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      tags_[hole] = tags_[j];
+      seqs_[hole] = seqs_[j];
+      hole = j;
+    }
   }
-  // A no-op for the second of two same-time records of one path.
-  index_.erase(r.path);
+  tags_[hole] = 0;
+  --log_.live_;
 }
 
 void StateStore::sweep_dedup(double horizon) {
@@ -134,7 +229,9 @@ void StateStore::sweep_dedup(double horizon) {
   std::size_t done = 0;  // chunks swept to their end
   for (; done < chunks.size(); ++done) {
     const DedupLog::Chunk& c = *chunks[done];
-    while (front < c.size() && c[front].t < horizon) forget(c[front++]);
+    for (; front < c.size() && c[front].t < horizon; ++front) {
+      forget(c[front].path, c.base + static_cast<std::uint32_t>(front));
+    }
     if (front < c.size()) break;
     front = 0;
   }
@@ -150,7 +247,6 @@ Snapshot StateStore::snapshot() {
     snap.entries.emplace_back(k, v);
   });
   snap.dedup = log_;
-  snap.dedup.live_ = index_.size();
   snap.bytes = bytes_ + kDedupEntryBytes * snap.dedup.size() + 32;
   return snap;
 }
@@ -159,17 +255,13 @@ void StateStore::restore(const Snapshot& snap) {
   clear();
   for (const auto& [k, v] : snap.entries) assign(k, v);
   log_ = snap.dedup;
-  // Every record past the front is unswept, so its path is live; a path
-  // met again was refreshed, and its last record is its latest.
-  for (std::size_t c = 0; c < log_.chunks_.size(); ++c) {
-    const DedupLog::Chunk& chunk = *log_.chunks_[c];
-    for (std::size_t i = c == 0 ? log_.front_ : 0; i < chunk.size(); ++i) {
-      bool inserted = false;
-      index_.get_or_insert(chunk[i].path, &inserted);
-      if (!inserted) refreshed_[chunk[i].path] = chunk[i].t;
-    }
-  }
-  assert(index_.size() == snap.dedup.size());
+  if (log_.chunks_.empty()) return;
+  const DedupLog::Chunk& last = *log_.chunks_.back();
+  open_.base = last.base + static_cast<std::uint32_t>(last.size());
+  // Every record past the front is unswept, so its path is live. The
+  // table is sized like sim::FlatMap::reserve(live).
+  rehash(std::max<std::size_t>(16, std::bit_ceil((log_.live_ * 4 + 2) / 3)));
+  assert(log_.live_ == snap.dedup.size());
 }
 
 void StateStore::clear() {
@@ -178,9 +270,9 @@ void StateStore::clear() {
   bytes_ = 0;
   replay_ = false;
   log_ = DedupLog{};
-  open_.clear();
-  index_.clear();
-  refreshed_.clear();
+  open_.base = kFirstSeq;
+  open_.records.clear();
+  std::fill(tags_.begin(), tags_.end(), std::uint8_t{0});
 }
 
 }  // namespace tstorm::state

@@ -10,8 +10,10 @@
 //   * a dedup set of applied update paths (deterministic lineage ids of
 //     tuple-tree branches) that suppresses re-application of replayed
 //     updates, swept by age at checkpoint time. It is a time-ordered log
-//     of (path, t) records held as immutable shared chunks, plus an 8 B
-//     per slot path index; a sweep pops expired records off the front;
+//     of (path, t) records held as immutable shared chunks, plus a 5 B
+//     per slot path index (the 32-bit sequence number of the path's
+//     latest record and a 1-byte hash tag); a sweep pops expired records
+//     off the front;
 //   * Snapshots taken at barrier alignment, written to the simulated
 //     durable store, and restored into a fresh executor after
 //     reassignment. Keyed entries are copied; the dedup log is shared —
@@ -27,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/flat_map.h"
 #include "topo/tuple.h"
 
 namespace tstorm::state {
@@ -67,7 +68,16 @@ class DedupLog {
     std::uint64_t path;
     double t;
   };
-  using Chunk = std::vector<Record>;
+  /// Consecutive records; record i has sequence number base + i (mod 2^32).
+  struct Chunk {
+    std::uint32_t base = 0;
+    std::vector<Record> records;
+
+    [[nodiscard]] std::size_t size() const { return records.size(); }
+    [[nodiscard]] const Record& operator[](std::size_t i) const {
+      return records[i];
+    }
+  };
 
   /// Distinct live (unswept) paths — what the serialized form carries.
   [[nodiscard]] std::size_t size() const { return live_; }
@@ -142,7 +152,7 @@ class StateStore {
   bool dedup_insert(std::uint64_t path, double now);
   /// Drops dedup entries last touched before `horizon`: O(records swept).
   void sweep_dedup(double horizon);
-  [[nodiscard]] std::size_t dedup_size() const { return index_.size(); }
+  [[nodiscard]] std::size_t dedup_size() const { return log_.live_; }
 
   /// --- Checkpoint / restore. ---
   /// Copies the keyed entries and shares the dedup log: O(entries +
@@ -172,24 +182,43 @@ class StateStore {
   void grow();
   /// Moves the open records into a new immutable chunk of the log.
   void seal();
-  /// Drops `r.path` from the index if `r` is the path's latest record.
-  void forget(const DedupLog::Record& r);
+  /// The live record with sequence number `seq`.
+  [[nodiscard]] const DedupLog::Record& record(std::uint32_t seq) const;
+  /// Index of `path`'s slot, or of the empty slot where it would insert.
+  [[nodiscard]] std::size_t find_slot(std::uint64_t path,
+                                      std::uint64_t h) const;
+  /// Sizes the index to `capacity` slots and fills it from the log.
+  void rehash(std::size_t capacity);
+  /// Indexes `path` at its record `seq`, the latest so far.
+  void index_record(std::uint64_t path, std::uint32_t seq);
+  /// Drops `path` from the index if `seq` is its latest record.
+  void forget(std::uint64_t path, std::uint32_t seq);
+  /// Backward-shift erase, so lookups never cross a hole mid-chain.
+  void erase_slot(std::size_t i);
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
   std::uint64_t bytes_ = 0;
   bool replay_ = false;
 
-  /// Sealed dedup records, oldest first (`log_.live_` is filled in on the
-  /// copies snapshot() hands out; here the live count is index_.size()).
+  /// Sealed dedup records, oldest first, and the live path count.
   DedupLog log_;
-  /// Records appended since the last seal; capacity is reused.
-  DedupLog::Chunk open_;
-  /// Live paths (never 0). One record each, unless refreshed.
-  sim::FlatMap<std::uint64_t, sim::Unit, 0> index_;
-  /// path -> time of its latest record, for refreshed paths only (a
-  /// duplicate was inserted). Absent: the path has a single record.
-  sim::FlatMap<std::uint64_t, double, 0> refreshed_;
+  /// Sequence number of a store's first record: 256 below 2^32, so any
+  /// store past its first 256 records has crossed the wrap, with records
+  /// on both sides of it live for a while. Sequence numbers are compared
+  /// as offsets from the oldest live chunk's base; a live log spans far
+  /// fewer than 2^32 records.
+  static constexpr std::uint32_t kFirstSeq = 0xFFFFFF00u;
+  /// Records appended since the last seal, with the next sealed chunk's
+  /// base; capacity is reused.
+  DedupLog::Chunk open_{kFirstSeq, {}};
+  /// Path index: open addressing with linear probing from mix64(path).
+  /// Slot i is empty when tags_[i] is 0; otherwise seqs_[i] is the
+  /// sequence number of its path's latest record and tags_[i] the hash's
+  /// top byte (0 folded into 1), so a probe reads a record only when the
+  /// tag matches. 5 B per slot, at most 3/4 full.
+  std::vector<std::uint8_t> tags_;
+  std::vector<std::uint32_t> seqs_;
 };
 
 }  // namespace tstorm::state

@@ -8,6 +8,8 @@
 #include "core/estimator.h"
 #include "core/system.h"
 #include "metrics/histogram.h"
+#include "sched/manual.h"
+#include "topo/builder.h"
 #include "workload/topologies.h"
 
 namespace tstorm::core {
@@ -143,6 +145,62 @@ TEST(EnergyMeter, MeanNodesOnMatchesUsage) {
   // Storm uses all 10 nodes once started (~12 s startup).
   EXPECT_GT(meter.mean_nodes_on(), 9.0);
   EXPECT_LE(meter.mean_nodes_on(), 10.0);
+}
+
+/// Emits a tuple at every poll, at a negligible CPU cost.
+class CountingSpout : public topo::Spout {
+ public:
+  std::optional<topo::Tuple> next_tuple() override {
+    return topo::Tuple{counter_++};
+  }
+  double cpu_cost_mega_cycles() const override { return 0.01; }
+
+ private:
+  std::int64_t counter_ = 0;
+};
+
+/// Burns no cycles: each tuple is one second of blocking I/O.
+class IoOnlyBolt : public topo::Bolt {
+ public:
+  void execute(const topo::Tuple&, topo::BoltContext&) override {}
+  double cpu_cost_mega_cycles(const topo::Tuple&) const override {
+    return 0.0;
+  }
+  double io_time_seconds(const topo::Tuple&) const override { return 1.0; }
+};
+
+TEST(EnergyMeter, IoWaitCountsAsBusy) {
+  // An executor holds its thread busy through the I/O phase of a service
+  // (Executor::begin_service adds service_io_s to the service time), so
+  // the meter bills I/O wait as CPU utilization although no cycles are
+  // consumed. Pinned as the documented model (MODEL.md "Nodes and CPU").
+  sim::Simulation sim;
+  runtime::Cluster cluster(sim, {});
+  topo::TopologyBuilder b;
+  b.set_spout("s", [] { return std::make_unique<CountingSpout>(); }, 1)
+      .output_fields({"v"})
+      .emit_interval(0.1);
+  b.set_bolt("io", [] { return std::make_unique<IoOnlyBolt>(); }, 1)
+      .shuffle_grouping("s");
+  sched::ManualScheduler manual(sched::Placement{{0, 0}});
+  const auto id = cluster.submit(b.build("io", 1, 1), &manual);
+  sim.run_until(60.0);  // past startup; the bolt's queue is never empty
+
+  runtime::Executor* bolt =
+      cluster.instances_of(cluster.tasks_of_component(id, "io").front())
+          .front();
+  (void)bolt->take_mega_cycles();
+  EnergyMeter meter(cluster, {.period = 1.0});
+  meter.start();
+  for (double t = 60.5; t < 80.0; t += 1.0) {
+    sim.run_until(t);
+    EXPECT_GE(cluster.node(0).busy_threads(), 1) << "t = " << t;
+  }
+  EXPECT_DOUBLE_EQ(bolt->take_mega_cycles(), 0.0);
+  // Every sample sees the I/O-bound thread: 1 of 4 cores busy.
+  const EnergyModelConfig power;
+  EXPECT_GE(meter.joules(), (power.idle_watts + power.dynamic_watts / 4) *
+                                meter.node_seconds());
 }
 
 // ------------------------------------------------------------ Node failure
